@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -27,19 +26,10 @@ from .click_kernel import (
 from .errors import DomainError, ParseError, ValidationError
 from .estimators import mandel_q_estimate, qb_estimate
 from .simulator import simulate
-from .states import StateSpec, state_from_dict
+from .states import StateSpec, parse_state_spec
 
 SWEEP_AXES = ("eta", "nu", "N", "mean_photons", "r")
 METHOD_ALIASES = {"gf": "generating_function", "dp": "occupancy_dp", "auto": "auto"}
-
-
-def parse_state_spec(text: str) -> StateSpec:
-    """Parse the JSON state-spec schema into a validated StateSpec."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"state spec is not valid JSON: {exc}")
-    return state_from_dict(data)
 
 
 def _load_state(arg: str) -> StateSpec:

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import DegenerateMean, NumericalInstability, ValidationError
+from .laws import binomial_pmf
 from .states import (
     DEFAULT_TAIL_TOLERANCE,
     PhotonNumberDistribution,
@@ -124,10 +124,6 @@ class NonclassicalityReport:
             raise ValueError(f"q_b={self.q_b!r} violates the variance floor of -1")
 
 
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def _silent_set_factors(leaf: StateSpec, config: DetectorConfig) -> np.ndarray:
     """P(a fixed set of s detectors is silent) for s = 0..N."""
     N, eta, nu = config.N, config.eta, config.nu
@@ -179,13 +175,12 @@ def _path_a(spec: StateSpec, config: DetectorConfig) -> np.ndarray:
     """
     N = config.N
     raw = np.zeros(N + 1)
-    ks = np.arange(N + 1)
     for weight, leaf in spec.flattened():
         if weight == 0.0:
             continue
         if leaf.kind == "coherent":
             p = -math.expm1(-config.nu - config.eta * leaf.mean_photons / N)
-            raw += weight * stats.binom.pmf(ks, N, p)
+            raw += weight * binomial_pmf(N, p)
         else:
             raw += weight * _alternating_sum(
                 _silent_set_factors(leaf, config), N
@@ -202,17 +197,28 @@ def _occupancy_step(occ: np.ndarray, N: int, eta: float) -> np.ndarray:
 
 
 def _dark_convolution(occ_probs: np.ndarray, N: int, nu: float) -> np.ndarray:
-    """Convolve the occupied-detector law with independent dark clicks."""
+    """Add independent dark clicks on the unoccupied detectors.
+
+    One product with the transition matrix T[k, k+m] = Binomial(N-k, d) at m,
+    d = 1 - exp(-nu), over the rows k up to the largest occupied count K.
+    Row K is binomial_pmf(N-K, d); each row above follows by the Pascal
+    recurrence b_{n+1}(m) = b_n(m) (1-d) + b_n(m-1) d, whose terms are all
+    nonnegative. The rounded weights 1-d and d need not sum to exactly 1,
+    and the recurrence would compound that drift over K steps, so each row
+    is scaled back to unit mass (by scaling the weight it is applied with).
+    """
     if nu == 0.0:
         return occ_probs.copy()
     d = -math.expm1(-nu)
-    out = np.zeros(N + 1)
-    for k in range(N + 1):
-        if occ_probs[k] == 0.0:
-            continue
-        free = N - k
-        out[k:] += occ_probs[k] * stats.binom.pmf(np.arange(free + 1), free, d)
-    return out
+    top = int(np.flatnonzero(occ_probs)[-1])
+    T = np.zeros((top + 1, N + 1))
+    T[top, top:] = binomial_pmf(N - top, d)
+    for k in range(top, 0, -1):
+        T[k - 1, k - 1 : N] = (1.0 - d) * T[k, k:]
+        T[k - 1, k:] += d * T[k, k:]
+    # einsum keeps this memory-bound product in one thread; a threaded BLAS
+    # matrix-vector call gains nothing on it and can stall on a busy host.
+    return np.einsum("k,kj->j", occ_probs[: top + 1] / T.sum(axis=1), T)
 
 
 def _path_b(
@@ -332,8 +338,7 @@ def binomial_reference(N: int, p: float) -> ClickDistribution:
         raise ValidationError(
             f"N must be an integer in [1, {MAX_DETECTORS}], got {N!r}"
         )
-    probs = stats.binom.pmf(np.arange(N + 1), N, p)
-    return ClickDistribution(int(N), probs)
+    return ClickDistribution(int(N), binomial_pmf(int(N), p))
 
 
 def click_moments(dist: ClickDistribution) -> tuple[float, float]:

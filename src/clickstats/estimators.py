@@ -29,7 +29,7 @@ from .errors import (
     InsufficientData,
     InvalidSample,
 )
-from .simulator import ClickSampleSet
+from .simulator import ClickSampleSet, check_workers
 
 MIN_BOOTSTRAP_REPLICATES = 100
 MIN_BOOTSTRAP_SAMPLE = 10
@@ -145,6 +145,7 @@ def bootstrap_ci(
     """
     if statistic not in STATISTICS:
         raise ValueError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
+    check_workers(workers)
     if replicates < MIN_BOOTSTRAP_REPLICATES:
         raise InsufficientData(
             f"bootstrap needs at least {MIN_BOOTSTRAP_REPLICATES} replicates, "
@@ -205,6 +206,7 @@ def _build_report(
     seed: int | None,
     workers: int,
 ) -> EstimateReport:
+    check_workers(workers)
     if replicates <= 0:
         return EstimateReport(
             statistic_name=name,
@@ -253,7 +255,7 @@ def qb_estimate(
         raise InsufficientData(f"need at least 2 trials, got {clicks.size}")
     if clicks.min() < 0 or clicks.max() > N:
         raise InvalidSample(f"click records must lie in [0, {N}]")
-    point = _qb_from_counts(np.bincount(clicks, minlength=N + 1), N, unbiased)
+    point = _qb_from_counts(np.bincount(clicks), N, unbiased)
     if point is None:
         raise DegenerateMean(
             f"sample mean within {DEGENERATE_MEAN_TOL} of the boundary of [0, {N}]"

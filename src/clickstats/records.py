@@ -20,7 +20,7 @@ from .click_kernel import ClickDistribution, DetectorConfig, NonclassicalityRepo
 from .errors import InsufficientData, InvalidSample, ParseError, ValidationError
 from .estimators import EstimateReport
 from .simulator import ClickSampleSet
-from .states import StateSpec, state_from_dict
+from .states import parse_state_spec
 
 SAMPLE_HEADER = "clicks"
 
@@ -108,8 +108,13 @@ def samples_from_text(text: str) -> ClickSampleSet:
         N = int(meta["N"])
     except ValueError:
         raise ParseError(f"preamble N={meta['N']!r} is not an integer")
+    if not 1 <= N < 2**63:
+        raise ParseError(f"preamble N={meta['N']!r} is not a positive 64-bit integer")
 
-    clicks = np.asarray(rows, dtype=np.int64)
+    try:
+        clicks = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        raise ParseError("click records must fit a 64-bit integer")
     if clicks.min() < 0 or clicks.max() > N:
         raise InvalidSample(f"click records must lie in [0, {N}]")
 
@@ -132,18 +137,23 @@ def samples_from_text(text: str) -> ClickSampleSet:
 
     state_echo = None
     if "state" in meta:
-        try:
-            state_echo = state_from_dict(json.loads(meta["state"]))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"preamble state is not valid JSON: {exc}")
+        state_echo = parse_state_spec(meta["state"])
     config_echo = None
     if "config" in meta:
         try:
             raw_cfg = json.loads(meta["config"])
         except json.JSONDecodeError as exc:
             raise ParseError(f"preamble config is not valid JSON: {exc}")
+        except RecursionError:
+            raise ParseError("preamble config JSON nests too deeply to parse") from None
         if not isinstance(raw_cfg, dict) or set(raw_cfg) != {"N", "eta", "nu"}:
             raise ParseError("preamble config must carry exactly N, eta, nu")
+        if not all(
+            (isinstance(v, int) and not isinstance(v, bool))
+            or (isinstance(v, float) and math.isfinite(v))
+            for v in raw_cfg.values()
+        ):
+            raise ParseError("preamble config values must be finite numbers")
         config_echo = DetectorConfig(
             N=raw_cfg["N"], eta=float(raw_cfg["eta"]), nu=float(raw_cfg["nu"])
         )

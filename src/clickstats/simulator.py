@@ -43,6 +43,8 @@ class ClickSampleSet:
     state_echo: StateSpec | None = None
 
     def __post_init__(self):
+        if self.N < 1:
+            raise ValueError(f"N must be a positive integer, got {self.N!r}")
         arr = np.asarray(self.clicks, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "clicks", arr)
@@ -52,6 +54,12 @@ class ClickSampleSet:
             )
         if arr.size and (arr.min() < 0 or arr.max() > self.N):
             raise ValueError(f"click counts must lie in [0, {self.N}]")
+
+
+def check_workers(workers: int) -> None:
+    """The worker-count rule shared by every parallel entry point."""
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers!r}")
 
 
 @lru_cache(maxsize=128)
@@ -128,8 +136,7 @@ def simulate(
         raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials!r}")
     if not (0 <= seed < 2**64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers!r}")
+    check_workers(workers)
     spec.validate()
     cum = _cumulative_table(spec, DEFAULT_TAIL_TOLERANCE)
 

@@ -9,14 +9,15 @@ G(x) = sum_n p_n x^n.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
-from .errors import TruncationOverflow, UnnormalizedExplicit, ValidationError
+from .errors import ParseError, TruncationOverflow, UnnormalizedExplicit, ValidationError
+from .laws import poisson_pmf
 
 STATE_KINDS = ("coherent", "thermal", "fock", "squeezed_vacuum", "mixture", "explicit")
 
@@ -125,9 +126,9 @@ class StateSpec:
             if not self.probs:
                 raise ValidationError(f"{path}.probs: must be a nonempty list")
             for i, p in enumerate(self.probs):
-                if not math.isfinite(p) or p < 0:
+                if not 0.0 <= p <= 1.0 + EXPLICIT_SUM_TOL:
                     raise ValidationError(
-                        f"{path}.probs[{i}]: must be a nonnegative real, got {p!r}"
+                        f"{path}.probs[{i}]: must lie in [0, 1], got {p!r}"
                     )
             total = math.fsum(self.probs)
             if abs(total - 1.0) > EXPLICIT_SUM_TOL:
@@ -164,8 +165,21 @@ class StateSpec:
         return {"kind": "explicit", "probs": list(self.probs)}
 
 
-def state_from_dict(data: object, path: str = "state") -> StateSpec:
+def parse_state_spec(text: str) -> StateSpec:
+    """Parse the JSON state-spec schema into a validated StateSpec."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"state spec is not valid JSON: {exc}")
+    except RecursionError:
+        raise ParseError("state spec JSON nests too deeply to parse") from None
+    return state_from_dict(data)
+
+
+def state_from_dict(data: object, path: str = "state", _depth: int = 0) -> StateSpec:
     """Build a StateSpec from its schema dictionary, validating as we go."""
+    if _depth > MAX_MIXTURE_DEPTH:
+        raise ValidationError(f"{path}: mixture nesting depth exceeds {MAX_MIXTURE_DEPTH}")
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected an object, got {type(data).__name__}")
     kind = data.get("kind")
@@ -215,7 +229,7 @@ def state_from_dict(data: object, path: str = "state") -> StateSpec:
             weight = item["weight"]
             if isinstance(weight, bool) or not isinstance(weight, (int, float)):
                 raise ValidationError(f"{path}.components[{i}].weight: expected a number")
-            sub = state_from_dict(item["state"], f"{path}.components[{i}].state")
+            sub = state_from_dict(item["state"], f"{path}.components[{i}].state", _depth + 1)
             comps.append((float(weight), sub))
         spec = StateSpec.mixture(comps)
     else:
@@ -270,33 +284,33 @@ def _check_tail_tolerance(tail_tolerance: float) -> float:
 
 
 def _coherent_probs(mu: float, tol: float) -> tuple[np.ndarray, float]:
-    """Poisson probabilities truncated once the analytic upper tail <= tol."""
+    """Poisson probabilities truncated once a closed-form upper tail <= tol.
+
+    Past the mean the term ratio mu/(n+1) is below 1, so the mass after index
+    n (with n + 2 > mu) is at most p_{n+1} / (1 - mu/(n+2)). The bound is
+    raised by 1e-12 relative, far above the rounding error of p_{n+1}, so
+    that it stays an upper bound in floating point.
+    """
     if mu == 0.0:
         return np.array([1.0]), 0.0
-    # Exponential search then bisect on the smallest cutoff with sf <= tol;
-    # poisson.sf is the regularized upper incomplete gamma, i.e. the exact tail.
-    lo = int(mu)
-    hi = max(lo + 1, int(mu + 10.0 * math.sqrt(mu) + 20.0))
-    while stats.poisson.sf(hi, mu) > tol:
-        lo = hi
-        hi *= 2
-        if hi > 8 * MAX_NMAX:
-            raise TruncationOverflow(
-                f"coherent state with mean {mu} needs a cutoff beyond {MAX_NMAX}"
-            )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if stats.poisson.sf(mid, mu) <= tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    n_max = hi
-    if n_max > MAX_NMAX:
-        raise TruncationOverflow(
-            f"coherent state with mean {mu} needs cutoff {n_max} > {MAX_NMAX}"
-        )
-    probs = stats.poisson.pmf(np.arange(n_max + 1), mu)
-    return probs, float(stats.poisson.sf(n_max, mu))
+    start = int(mu)  # n + 2 > mu from here on
+    size = start + 22 + int(10.0 * math.sqrt(mu))
+    while start < MAX_NMAX:
+        probs = poisson_pmf(mu, size)
+        n = np.arange(start, size - 1)
+        bounds = probs[start + 1 :] / (1.0 - mu / (n + 2)) * (1.0 + 1e-12)
+        below = np.flatnonzero(bounds <= tol)
+        if below.size:
+            n_max = start + int(below[0])
+            if n_max > MAX_NMAX:
+                break
+            return probs[: n_max + 1].copy(), float(bounds[below[0]])
+        if size > MAX_NMAX:
+            break
+        size *= 2
+    raise TruncationOverflow(
+        f"coherent state with mean {mu} needs a cutoff beyond {MAX_NMAX}"
+    )
 
 
 def _thermal_probs(mu: float, tol: float) -> tuple[np.ndarray, float]:
@@ -354,7 +368,10 @@ def make_distribution(
     """
     tol = _check_tail_tolerance(tail_tolerance)
     if spec.kind == "explicit" and spec.probs:
-        total = math.fsum(spec.probs)
+        try:
+            total = math.fsum(spec.probs)
+        except OverflowError:
+            raise ValidationError("state.probs: entries must lie in [0, 1]") from None
         if abs(total - 1.0) > EXPLICIT_SUM_TOL:
             raise UnnormalizedExplicit(
                 f"explicit probabilities sum to {total!r}; deviation exceeds "

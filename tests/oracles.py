@@ -93,3 +93,24 @@ def click_moments_from_gf(gf, N: int, eta: float, nu: float = 0.0):
     e_s_pair = N * (N - 1) * p2
     var_s = e_s_pair + e_s - e_s * e_s
     return N - e_s, var_s
+
+
+def binomial_row(n: int, d: float) -> np.ndarray:
+    """C(n,m) d^m (1-d)^(n-m) for m = 0..n, one float product per entry."""
+    q = 1.0 - d
+    return np.array([float(math.comb(n, m)) * d**m * q ** (n - m) for m in range(n + 1)])
+
+
+def dark_convolution_by_rows(occ_probs, N: int, nu: float) -> np.ndarray:
+    """Occupied-detector law convolved with dark clicks, one binomial row per k.
+
+    The per-k loop the library used before its dark step became a single
+    matrix product: k occupied detectors leave N-k free ones, each firing
+    with probability d = 1 - exp(-nu).
+    """
+    d = -math.expm1(-nu)
+    out = np.zeros(N + 1)
+    for k, weight in enumerate(occ_probs):
+        if weight:
+            out[k:] += weight * binomial_row(N - k, d)
+    return out

@@ -2,16 +2,31 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clickstats
 from clickstats import records
 from clickstats.cli import main, parse_state_spec
 from clickstats.errors import ParseError, ValidationError
 
 COHERENT4 = '{"kind":"coherent","mean_photons":4.0}'
 FOCK1 = '{"kind":"fock","n":1}'
+SRC = str(Path(clickstats.__file__).resolve().parents[1])
+
+
+def _fresh_python(*argv):
+    """Run a fresh interpreter that imports this checkout of clickstats."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 class TestParseStateSpec:
@@ -247,3 +262,110 @@ class TestUsageErrors:
     def test_bad_state_json(self, capsys):
         code = main(["dist", "--state", '{"kind":"fock"', "--detectors", "4"])
         assert code == 2
+
+
+class TestWorkerRule:
+    """Every verb with --workers applies the same rule, with the same message."""
+
+    def test_simulate_and_analyze_reject_zero_workers(self, tmp_path, capsys):
+        sample_file = tmp_path / "s.csv"
+        sim = ["simulate", "--state", FOCK1, "--detectors", "4", "--eta", "0.7",
+               "--trials", "1000", "--seed", "3"]
+        assert main(sim + ["--out", str(sample_file)]) == 0
+        capsys.readouterr()
+        assert main(sim + ["--workers", "0"]) == 2
+        expected = capsys.readouterr().err
+        assert "workers must be positive" in expected
+        for extra in ([], ["--bootstrap", "200", "--seed", "5"]):
+            code = main(["analyze", "--in", str(sample_file), "--workers", "0", *extra])
+            assert code == 2
+            assert capsys.readouterr().err == expected
+
+    def test_zero_detector_record_rejected(self, tmp_path, capsys):
+        sample_file = tmp_path / "s.csv"
+        sample_file.write_text("# N=0\nclicks\n0\n0\n0\n")
+        assert main(["analyze", "--in", str(sample_file)]) == 2
+        assert "ParseError" in capsys.readouterr().err
+
+
+class TestMalformedInputExitsCleanly:
+    """Malformed input exits 2 with a one-line error, never a traceback."""
+
+    def _assert_usage_error(self, proc):
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    def test_click_value_beyond_64_bits(self, tmp_path):
+        sample_file = tmp_path / "s.csv"
+        sample_file.write_text("# N=8\nclicks\n1\n12345678901234567890\n")
+        self._assert_usage_error(
+            _fresh_python("-m", "clickstats", "analyze", "--in", str(sample_file))
+        )
+
+    def test_detector_count_beyond_64_bits(self, tmp_path):
+        sample_file = tmp_path / "s.csv"
+        sample_file.write_text("# N=99999999999999999999\nclicks\n1\n2\n")
+        self._assert_usage_error(
+            _fresh_python("-m", "clickstats", "analyze", "--in", str(sample_file))
+        )
+
+    @pytest.mark.parametrize("config", [
+        '{"N":8,"eta":[1],"nu":0}', '{"N":1e400,"eta":1,"nu":0}',
+    ])
+    def test_config_echo_with_non_numbers(self, tmp_path, config):
+        sample_file = tmp_path / "s.csv"
+        sample_file.write_text(f"# N=8\n# config={config}\nclicks\n1\n2\n")
+        self._assert_usage_error(
+            _fresh_python("-m", "clickstats", "analyze", "--in", str(sample_file))
+        )
+
+    def test_explicit_probabilities_overflowing_their_sum(self):
+        self._assert_usage_error(_fresh_python(
+            "-m", "clickstats", "qb", "--state",
+            '{"kind":"explicit","probs":[1e308,1e308]}', "--detectors", "4",
+        ))
+
+    def test_mixture_nested_3000_deep(self, tmp_path):
+        text = FOCK1
+        for _ in range(3000):
+            text = '{"kind":"mixture","components":[{"weight":1.0,"state":%s}]}' % text
+        state_file = tmp_path / "deep.json"
+        state_file.write_text(text)
+        self._assert_usage_error(_fresh_python(
+            "-m", "clickstats", "qb", "--state", str(state_file), "--detectors", "4",
+        ))
+        sample_file = tmp_path / "s.csv"
+        sample_file.write_text(f"# N=8\n# state={text}\nclicks\n1\n2\n")
+        self._assert_usage_error(
+            _fresh_python("-m", "clickstats", "analyze", "--in", str(sample_file))
+        )
+
+    def test_nesting_beyond_the_cap_rejected_before_recursing(self):
+        data = {"kind": "fock", "n": 1}
+        for _ in range(3000):
+            data = {"kind": "mixture", "components": [{"weight": 1.0, "state": data}]}
+        with pytest.raises(ValidationError, match="depth"):
+            clickstats.state_from_dict(data)
+
+
+class TestNoScipy:
+    """The package runs on numpy alone; scipy must not even be imported."""
+
+    def test_import_loads_no_scipy(self):
+        proc = _fresh_python(
+            "-c", "import sys, clickstats; print('scipy' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_qb_verb_loads_no_scipy(self):
+        # -X importtime lists every module the process imports on stderr.
+        proc = _fresh_python(
+            "-X", "importtime", "-m", "clickstats", "qb",
+            "--state", COHERENT4, "--detectors", "8", "--nu", "0.01",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "q_b," in proc.stdout
+        assert "clickstats.cli" in proc.stderr
+        assert "scipy" not in proc.stderr

@@ -123,6 +123,11 @@ class TestBootstrap:
         b = bootstrap_ci(samples, "q_b", replicates=200, level=0.9, seed=5, workers=4)
         assert a == b
 
+    def test_worker_count_must_be_positive(self):
+        samples = sample_set([0, 1, 1, 2, 0, 1, 2, 1, 0, 1, 1, 2], N=2)
+        with pytest.raises(ValueError, match="workers must be positive"):
+            bootstrap_ci(samples, "q_b", replicates=200, seed=5, workers=0)
+
     def test_replicate_floor(self):
         samples = sample_set([0, 1, 1, 2, 0, 1, 2, 1, 0, 1], N=2)
         with pytest.raises(InsufficientData):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clickstats import (
+    ClickSampleSet,
     DetectorConfig,
     StateSpec,
     click_distribution,
@@ -101,6 +102,10 @@ class TestPhysicalModel:
             simulate(COHERENT4, CFG_8_HALF, trials=10, seed=-1)
         with pytest.raises(ValueError):
             simulate(COHERENT4, CFG_8_HALF, trials=10, seed=1, workers=0)
+
+    def test_sample_set_needs_a_detector(self):
+        with pytest.raises(ValueError, match="N must be a positive"):
+            ClickSampleSet(N=0, clicks=np.zeros(3, dtype=np.int64), seed=0, trials=3)
 
 
 class TestSamplePhotonNumber:
