@@ -17,11 +17,11 @@ import numpy as np
 from . import records
 from .click_kernel import (
     DetectorConfig,
+    _qb_from_moments,
+    _qm_from_moments,
     click_distribution,
     click_moments,
-    mandel_q,
     nonclassicality_report,
-    qb_parameter,
 )
 from .errors import DomainError, ParseError, ValidationError
 from .estimators import mandel_q_estimate, qb_estimate
@@ -30,6 +30,7 @@ from .states import StateSpec, parse_state_spec
 
 SWEEP_AXES = ("eta", "nu", "N", "mean_photons", "r")
 METHOD_ALIASES = {"gf": "generating_function", "dp": "occupancy_dp", "auto": "auto"}
+WORKERS_HELP = "worker count, at least 1; accepted, never changes the output"
 
 
 def _load_state(arg: str) -> StateSpec:
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_config_args(p_sim)
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     _add_output_args(p_sim, formats=False)
 
     p_an = sub.add_parser("analyze", help="estimate Q_B and Q_M from a sample file")
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.add_argument("--level", type=float, default=0.95)
     p_an.add_argument("--seed", type=int, default=None)
-    p_an.add_argument("--workers", type=int, default=1)
+    p_an.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     _add_output_args(p_an)
 
     p_sw = sub.add_parser("sweep", help="scan one axis and tabulate Q_B / Q_M")
@@ -175,9 +176,13 @@ def run_sweep(
         pt_spec, pt_config = _sweep_point(spec, config, axis, float(value))
         dist = click_distribution(pt_spec, pt_config, method)
         mean, variance = click_moments(dist)
-        rows.append(
-            (float(value), qb_parameter(dist), mandel_q(dist), mean, variance)
-        )
+        rows.append((
+            float(value),
+            _qb_from_moments(mean, variance, pt_config.N),
+            _qm_from_moments(mean, variance),
+            mean,
+            variance,
+        ))
     return rows
 
 

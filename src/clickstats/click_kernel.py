@@ -31,14 +31,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateMean, NumericalInstability, ValidationError
-from .laws import binomial_pmf
+from .laws import binomial_pmf, law_moments
 from .states import (
     DEFAULT_TAIL_TOLERANCE,
     PhotonNumberDistribution,
     StateSpec,
     _gf,
     make_distribution,
-    photon_moments,
 )
 
 logger = logging.getLogger(__name__)
@@ -342,16 +341,23 @@ def binomial_reference(N: int, p: float) -> ClickDistribution:
 
 
 def click_moments(dist: ClickDistribution) -> tuple[float, float]:
-    """Mean and variance of the click number; variance clamped at zero."""
-    k = np.arange(dist.probs.size, dtype=np.float64)
-    mean = float(k @ dist.probs)
-    second = float((k * k) @ dist.probs)
-    variance = second - mean * mean
-    if variance < 0.0:
-        if variance < -CLAMP_TOL:
-            raise ValueError(f"variance {variance!r} below clamping tolerance")
-        variance = 0.0
-    return mean, variance
+    """Mean and variance of the click number."""
+    mean, variance = law_moments(dist.probs)
+    return float(mean), float(variance)
+
+
+def _qb_from_moments(mean: float, variance: float, N: int) -> float:
+    if mean < DEGENERATE_MEAN_TOL or mean > N - DEGENERATE_MEAN_TOL:
+        raise DegenerateMean(
+            f"click mean {mean!r} is within {DEGENERATE_MEAN_TOL} of the boundary of [0, {N}]"
+        )
+    return N * variance / (mean * (N - mean)) - 1.0
+
+
+def _qm_from_moments(mean: float, variance: float) -> float:
+    if mean < DEGENERATE_MEAN_TOL:
+        raise DegenerateMean(f"mean count {mean!r} below {DEGENERATE_MEAN_TOL}")
+    return variance / mean - 1.0
 
 
 def qb_parameter(dist: ClickDistribution) -> float:
@@ -361,13 +367,7 @@ def qb_parameter(dist: ClickDistribution) -> float:
     law; negative only for sub-binomial (nonclassical) statistics. Undefined
     when the mean click number sits within 1e-12 of 0 or N.
     """
-    mean, variance = click_moments(dist)
-    N = dist.N
-    if mean < DEGENERATE_MEAN_TOL or mean > N - DEGENERATE_MEAN_TOL:
-        raise DegenerateMean(
-            f"click mean {mean!r} is within {DEGENERATE_MEAN_TOL} of the boundary of [0, {N}]"
-        )
-    return N * variance / (mean * (N - mean)) - 1.0
+    return _qb_from_moments(*click_moments(dist), dist.N)
 
 
 def _as_count_probs(dist) -> np.ndarray:
@@ -389,14 +389,8 @@ def mandel_q(dist) -> float:
     this goes negative even for coherent light (binomial clicks give
     Q_M = -p), which is why Q_B exists.
     """
-    probs = _as_count_probs(dist)
-    k = np.arange(probs.size, dtype=np.float64)
-    mean = float(k @ probs)
-    if mean < DEGENERATE_MEAN_TOL:
-        raise DegenerateMean(f"mean count {mean!r} below {DEGENERATE_MEAN_TOL}")
-    second = float((k * k) @ probs)
-    variance = max(0.0, second - mean * mean)
-    return variance / mean - 1.0
+    mean, variance = law_moments(_as_count_probs(dist))
+    return _qm_from_moments(float(mean), float(variance))
 
 
 def nonclassicality_report(
@@ -412,8 +406,8 @@ def nonclassicality_report(
     """
     dist = click_distribution(spec, config, method)
     mean, variance = click_moments(dist)
-    q_b = qb_parameter(dist)
-    q_m_clicks = mandel_q(dist)
+    q_b = _qb_from_moments(mean, variance, config.N)
+    q_m_clicks = _qm_from_moments(mean, variance)
     try:
         q_m_photons = mandel_q(make_distribution(spec, tail_tolerance))
     except DegenerateMean:

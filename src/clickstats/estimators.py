@@ -9,14 +9,15 @@ are preferred over symmetric standard-error intervals.
 
 Resamples are drawn as multinomial counts over the observed click values,
 which is exactly an n-out-of-n resample with replacement reduced to its
-sufficient statistics. Each replicate uses its own stream derived from
-(seed, replicate index), making results independent of any parallel
-execution order.
+sufficient statistics. Replicates are drawn in blocks of BOOTSTRAP_BLOCK
+rows, one ``multinomial(..., size=block)`` call per block, each block from
+its own stream derived from (seed, block index); the statistic is then
+evaluated over the whole block matrix at once. The block size bounds the
+memory a large replicate count needs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -29,12 +30,14 @@ from .errors import (
     InsufficientData,
     InvalidSample,
 )
+from .laws import law_moments
 from .simulator import ClickSampleSet, check_workers
 
 MIN_BOOTSTRAP_REPLICATES = 100
 MIN_BOOTSTRAP_SAMPLE = 10
 DEFAULT_REPLICATES = 1000
 DEFAULT_LEVEL = 0.95
+BOOTSTRAP_BLOCK = 256
 
 _BOOT_DOMAIN = 0x424F4F54
 
@@ -94,31 +97,23 @@ def empirical_frequencies(samples: ClickSampleSet) -> ClickDistribution:
     return ClickDistribution(samples.N, counts / samples.trials)
 
 
-def _count_moments(counts: np.ndarray, unbiased: bool) -> tuple[float, float]:
-    """Sample mean and variance from a value-count vector."""
-    n = int(counts.sum())
-    ks = np.arange(counts.size, dtype=np.float64)
-    mean = float(ks @ counts) / n
-    second = float((ks * ks) @ counts) / n
-    variance = max(0.0, second - mean * mean)
+def _statistic(counts: np.ndarray, statistic: str, N: int | None, unbiased: bool):
+    """Plug-in Q_B or Q_M of value-count vectors along the last axis.
+
+    Entries whose sample mean is degenerate come out as NaN.
+    """
+    n = counts.sum(axis=-1)
+    mean, variance = law_moments(counts, n)
     if unbiased:
-        variance *= n / (n - 1)
-    return mean, variance
-
-
-def _qb_from_counts(counts: np.ndarray, N: int, unbiased: bool) -> float | None:
-    """Q_B plug-in value, or None when the sample mean is degenerate."""
-    mean, variance = _count_moments(counts, unbiased)
-    if mean < DEGENERATE_MEAN_TOL or mean > N - DEGENERATE_MEAN_TOL:
-        return None
-    return N * variance / (mean * (N - mean)) - 1.0
-
-
-def _qm_from_counts(counts: np.ndarray, unbiased: bool) -> float | None:
-    mean, variance = _count_moments(counts, unbiased)
-    if mean < DEGENERATE_MEAN_TOL:
-        return None
-    return variance / mean - 1.0
+        variance = variance * (n / (n - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if statistic == "q_b":
+            ok = (mean >= DEGENERATE_MEAN_TOL) & (mean <= N - DEGENERATE_MEAN_TOL)
+            value = N * variance / (mean * (N - mean)) - 1.0
+        else:
+            ok = mean >= DEGENERATE_MEAN_TOL
+            value = variance / mean - 1.0
+    return np.where(ok, value, np.nan)
 
 
 class BootstrapInterval(NamedTuple):
@@ -141,7 +136,8 @@ def bootstrap_ci(
 
     Deterministic for a fixed seed. Resamples whose mean is degenerate are
     dropped and counted; if every resample degenerates the interval does not
-    exist and AllResamplesDegenerate is raised.
+    exist and AllResamplesDegenerate is raised. ``workers`` is accepted;
+    it never changes the output.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
@@ -161,29 +157,16 @@ def bootstrap_ci(
         raise InsufficientData(
             f"bootstrap needs at least {MIN_BOOTSTRAP_SAMPLE} samples, got {n}"
         )
-    counts = np.bincount(clicks)
-    freqs = counts / n
+    freqs = np.bincount(clicks) / n
 
-    def replicate_value(rep: int) -> float:
+    values = np.empty(replicates)
+    for block, start in enumerate(range(0, replicates, BOOTSTRAP_BLOCK)):
         rng = np.random.default_rng(
-            np.random.SeedSequence([_BOOT_DOMAIN, seed, rep])
+            np.random.SeedSequence([_BOOT_DOMAIN, seed, block])
         )
-        resampled = rng.multinomial(n, freqs)
-        if statistic == "q_b":
-            value = _qb_from_counts(resampled, N, unbiased=True)
-        else:
-            value = _qm_from_counts(resampled, unbiased=True)
-        return np.nan if value is None else value
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = np.fromiter(
-                pool.map(replicate_value, range(replicates)), dtype=np.float64
-            )
-    else:
-        values = np.fromiter(
-            (replicate_value(r) for r in range(replicates)), dtype=np.float64
-        )
+        rows = min(BOOTSTRAP_BLOCK, replicates - start)
+        resampled = rng.multinomial(n, freqs, size=rows)
+        values[start : start + rows] = _statistic(resampled, statistic, N, unbiased=True)
 
     kept = values[~np.isnan(values)]
     discarded = replicates - kept.size
@@ -255,8 +238,8 @@ def qb_estimate(
         raise InsufficientData(f"need at least 2 trials, got {clicks.size}")
     if clicks.min() < 0 or clicks.max() > N:
         raise InvalidSample(f"click records must lie in [0, {N}]")
-    point = _qb_from_counts(np.bincount(clicks), N, unbiased)
-    if point is None:
+    point = float(_statistic(np.bincount(clicks), "q_b", N, unbiased))
+    if np.isnan(point):
         raise DegenerateMean(
             f"sample mean within {DEGENERATE_MEAN_TOL} of the boundary of [0, {N}]"
         )
@@ -281,8 +264,8 @@ def mandel_q_estimate(
     counts_arr, _ = _clicks_array(samples)
     if counts_arr.size < 2:
         raise InsufficientData(f"need at least 2 samples, got {counts_arr.size}")
-    point = _qm_from_counts(np.bincount(counts_arr), unbiased)
-    if point is None:
+    point = float(_statistic(np.bincount(counts_arr), "q_m", None, unbiased))
+    if np.isnan(point):
         raise DegenerateMean(f"sample mean below {DEGENERATE_MEAN_TOL}")
     boot_samples = samples if isinstance(samples, ClickSampleSet) else counts_arr
     return _build_report(

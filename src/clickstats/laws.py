@@ -104,3 +104,19 @@ def poisson_pmf(mu: float, size: int) -> np.ndarray:
         log_core = -_stirlerr(n) - _bd0(x, np.full(x.shape, mu))
         probs[1:] = np.exp(log_core) / np.sqrt(2.0 * math.pi * x)
     return probs
+
+
+def law_moments(weights: np.ndarray, total: float = 1.0):
+    """Mean and variance of k = 0, 1, ... under the weights w_k / total.
+
+    Works along the last axis, so a 2-d array of count vectors gives one mean
+    and one variance per row. The variance is the two-pass sum
+    sum_k (k - mean)^2 w_k / total: every term is nonnegative, whereas
+    E[k^2] - mean^2 loses digits in proportion to E[k^2] / variance.
+    """
+    k = np.arange(weights.shape[-1], dtype=np.float64)
+    mean = (weights @ k) / total
+    dev = k - mean[..., None]
+    dev *= dev
+    dev *= weights
+    return mean, dev.sum(axis=-1) / total

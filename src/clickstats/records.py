@@ -54,6 +54,8 @@ def samples_to_text(samples: ClickSampleSet) -> str:
         f"# seed={samples.seed}",
         f"# trials={samples.trials}",
     ]
+    if samples.stream is not None:
+        lines.append(f"# stream={samples.stream}")
     if samples.state_echo is not None:
         lines.append(f"# state={_json_compact(samples.state_echo.to_dict())}")
     if samples.config_echo is not None:
@@ -63,8 +65,12 @@ def samples_to_text(samples: ClickSampleSet) -> str:
             + _json_compact({"N": cfg.N, "eta": cfg.eta, "nu": cfg.nu})
         )
     lines.append(SAMPLE_HEADER)
-    lines.extend(str(int(c)) for c in samples.clicks)
-    return "\n".join(lines) + "\n"
+    # One rendered line per distinct value, picked out by index. A table
+    # indexed by the value itself is no option: a record read back from a
+    # file may carry values up to 2^63.
+    values, which = np.unique(samples.clicks, return_inverse=True)
+    table = np.array([f"{v}\n" for v in values.tolist()], dtype=object)
+    return "\n".join(lines) + "\n" + "".join(table[which].tolist())
 
 
 def write_samples(path: str, samples: ClickSampleSet) -> None:
@@ -72,68 +78,86 @@ def write_samples(path: str, samples: ClickSampleSet) -> None:
         fh.write(samples_to_text(samples))
 
 
+def _parse_int(meta: dict[str, str], key: str) -> int:
+    try:
+        return int(meta[key])
+    except ValueError:
+        raise ParseError(f"preamble {key}={meta[key]!r} is not an integer") from None
+
+
+def _parse_clicks(rows: list[str], first_lineno: int) -> np.ndarray:
+    """The click column: one integer per line, blank and ``#`` lines skipped.
+
+    A column with nothing else in it, as written here, parses in one numpy
+    call. Otherwise the skipped lines are dropped and the rest parsed in one
+    call again; the lines are walked one by one only to name a bad one.
+    """
+    try:
+        return np.array(rows, dtype=np.int64)
+    except ValueError:
+        pass
+    kept = [
+        (lineno, line)
+        for lineno, line in enumerate((raw.strip() for raw in rows), first_lineno)
+        if line and not line.startswith("#")
+    ]
+    try:
+        return np.array([line for _, line in kept], dtype=np.int64)
+    except ValueError:
+        for lineno, line in kept:
+            try:
+                int(line)
+            except ValueError:
+                raise ParseError(
+                    f"line {lineno}: expected an integer, got {line!r}"
+                ) from None
+        raise
+
+
 def samples_from_text(text: str) -> ClickSampleSet:
     meta: dict[str, str] = {}
-    rows: list[int] = []
-    seen_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    header = len(lines)  # no header line: no records
+    for index, raw in enumerate(lines):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if seen_header:
-                continue
             body = line[1:].strip()
             if "=" in body:
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()
             continue
-        if not seen_header:
-            if line != SAMPLE_HEADER:
-                raise ParseError(
-                    f"line {lineno}: expected header {SAMPLE_HEADER!r}, got {line!r}"
-                )
-            seen_header = True
-            continue
-        try:
-            rows.append(int(line))
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected an integer, got {line!r}")
+        if line != SAMPLE_HEADER:
+            raise ParseError(
+                f"line {index + 1}: expected header {SAMPLE_HEADER!r}, got {line!r}"
+            )
+        header = index
+        break
 
-    if not rows:
+    try:
+        clicks = _parse_clicks(lines[header + 1 :], header + 2)
+    except OverflowError:
+        raise ParseError("click records must fit a 64-bit integer") from None
+    if not clicks.size:
         raise InsufficientData("sample file contains no click records")
     if "N" not in meta:
         raise ParseError("sample file preamble is missing N")
-    try:
-        N = int(meta["N"])
-    except ValueError:
-        raise ParseError(f"preamble N={meta['N']!r} is not an integer")
+    N = _parse_int(meta, "N")
     if not 1 <= N < 2**63:
         raise ParseError(f"preamble N={meta['N']!r} is not a positive 64-bit integer")
-
-    try:
-        clicks = np.asarray(rows, dtype=np.int64)
-    except OverflowError:
-        raise ParseError("click records must fit a 64-bit integer")
     if clicks.min() < 0 or clicks.max() > N:
         raise InvalidSample(f"click records must lie in [0, {N}]")
 
-    seed = 0
-    if "seed" in meta:
-        try:
-            seed = int(meta["seed"])
-        except ValueError:
-            raise ParseError(f"preamble seed={meta['seed']!r} is not an integer")
-    trials = len(rows)
+    seed = _parse_int(meta, "seed") if "seed" in meta else 0
+    trials = clicks.size
     if "trials" in meta:
-        try:
-            declared = int(meta["trials"])
-        except ValueError:
-            raise ParseError(f"preamble trials={meta['trials']!r} is not an integer")
+        declared = _parse_int(meta, "trials")
         if declared != trials:
             raise ParseError(
                 f"preamble declares {declared} trials but file holds {trials}"
             )
+    stream = _parse_int(meta, "stream") if "stream" in meta else None
 
     state_echo = None
     if "state" in meta:
@@ -165,6 +189,7 @@ def samples_from_text(text: str) -> ClickSampleSet:
         trials=trials,
         config_echo=config_echo,
         state_echo=state_echo,
+        stream=stream,
     )
 
 

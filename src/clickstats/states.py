@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParseError, TruncationOverflow, UnnormalizedExplicit, ValidationError
-from .laws import poisson_pmf
+from .laws import law_moments, poisson_pmf
 
 STATE_KINDS = ("coherent", "thermal", "fock", "squeezed_vacuum", "mixture", "explicit")
 
@@ -318,6 +318,10 @@ def _thermal_probs(mu: float, tol: float) -> tuple[np.ndarray, float]:
     if mu == 0.0:
         return np.array([1.0]), 0.0
     q = mu / (1.0 + mu)
+    if q == 1.0:  # past mu ~ 1e16: no cutoff, and log q would be 0
+        raise TruncationOverflow(
+            f"thermal state with mean {mu} needs a cutoff beyond {MAX_NMAX}"
+        )
     n_max = max(0, math.ceil(math.log(tol) / math.log(q)) - 1)
     while q ** (n_max + 1) > tol:
         n_max += 1
@@ -330,6 +334,22 @@ def _thermal_probs(mu: float, tol: float) -> tuple[np.ndarray, float]:
     return probs, float(q ** (n_max + 1))
 
 
+def _squeezing(r: float) -> tuple[float, float]:
+    """cosh r and tanh r of a squeeze parameter, while tanh^2 r is below 1.
+
+    From r ~ 19.06 on tanh r rounds to 1: the photon law (mean sinh^2 r,
+    about 9e15 photons there) has no finite cutoff, the generating function
+    is singular at x = 1, and from r ~ 710 cosh r overflows. All of these
+    report TruncationOverflow.
+    """
+    t = math.tanh(r)
+    if t * t == 1.0:
+        raise TruncationOverflow(
+            f"squeezed vacuum with r={r} needs a cutoff beyond {MAX_NMAX}"
+        )
+    return math.cosh(r), t
+
+
 def _squeezed_probs(r: float, tol: float) -> tuple[np.ndarray, float]:
     """Even-photon probabilities of squeezed vacuum.
 
@@ -339,8 +359,9 @@ def _squeezed_probs(r: float, tol: float) -> tuple[np.ndarray, float]:
     """
     if r == 0.0:
         return np.array([1.0]), 0.0
-    t2 = math.tanh(r) ** 2
-    entries = [1.0 / math.cosh(r)]  # p_0
+    cosh_r, t = _squeezing(r)
+    t2 = t * t
+    entries = [1.0 / cosh_r]  # p_0
     tail_bound = entries[-1] * t2 / (1.0 - t2)
     m = 0
     while tail_bound > tol:
@@ -435,8 +456,8 @@ def _gf(spec: StateSpec, x: float) -> float:
     if spec.kind == "fock":
         return x**spec.n
     if spec.kind == "squeezed_vacuum":
-        t = math.tanh(spec.r)
-        return 1.0 / (math.cosh(spec.r) * math.sqrt(1.0 - (x * t) ** 2))
+        cosh_r, t = _squeezing(spec.r)
+        return 1.0 / (cosh_r * math.sqrt(1.0 - (x * t) ** 2))
     if spec.kind == "mixture":
         return math.fsum(w * _gf(leaf, x) for w, leaf in spec.flattened())
     return polynomial_gf(np.asarray(spec.probs, dtype=np.float64), x)
@@ -451,17 +472,6 @@ def polynomial_gf(probs: Sequence[float] | np.ndarray, x: float) -> float:
 
 
 def photon_moments(pnd: PhotonNumberDistribution) -> tuple[float, float]:
-    """Mean and variance of the photon number under a truncated distribution.
-
-    Variance is clamped to zero when rounding drives it slightly negative
-    (never below -1e-12).
-    """
-    n = np.arange(pnd.probs.size, dtype=np.float64)
-    mean = float(n @ pnd.probs)
-    second = float((n * n) @ pnd.probs)
-    variance = second - mean * mean
-    if variance < 0.0:
-        if variance < -1e-12:
-            raise ValueError(f"variance {variance!r} below clamping tolerance")
-        variance = 0.0
-    return mean, variance
+    """Mean and variance of the photon number under a truncated distribution."""
+    mean, variance = law_moments(pnd.probs)
+    return float(mean), float(variance)

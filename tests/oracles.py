@@ -1,10 +1,13 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive: exhaustive enumeration, exact
-rational arithmetic, and closed-form factorial-moment identities. None of
-it shares code with the evaluation paths under test.
+rational arithmetic, closed-form factorial-moment identities, and a sample
+record reader that converts one line at a time. None of it shares code with
+the evaluation paths under test; the reader only builds its result from the
+package's data types and state parser.
 """
 
+import json
 from fractions import Fraction
 from itertools import product
 import math
@@ -114,3 +117,89 @@ def dark_convolution_by_rows(occ_probs, N: int, nu: float) -> np.ndarray:
         if weight:
             out[k:] += weight * binomial_row(N - k, d)
     return out
+
+
+def samples_from_text_by_lines(text: str):
+    """The sample-record reader as it was before it became vectorized.
+
+    It walks every line and converts each click with ``int``, so it states
+    the accepted grammar directly: stripped lines, blank lines and ``#``
+    lines skipped after the header, one integer per line. The only addition
+    is the ``stream`` preamble tag, an integer when present.
+    """
+    from clickstats import ClickSampleSet, DetectorConfig
+    from clickstats.errors import InsufficientData, InvalidSample, ParseError
+    from clickstats.states import parse_state_spec
+
+    meta: dict[str, str] = {}
+    rows: list[int] = []
+    seen_header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if seen_header:
+                continue
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                meta[key.strip()] = value.strip()
+            continue
+        if not seen_header:
+            if line != "clicks":
+                raise ParseError(f"line {lineno}: expected header, got {line!r}")
+            seen_header = True
+            continue
+        try:
+            rows.append(int(line))
+        except ValueError:
+            raise ParseError(f"line {lineno}: expected an integer, got {line!r}")
+
+    if not rows:
+        raise InsufficientData("sample file contains no click records")
+    if "N" not in meta:
+        raise ParseError("sample file preamble is missing N")
+
+    def integer(key):
+        try:
+            return int(meta[key])
+        except ValueError:
+            raise ParseError(f"preamble {key} is not an integer")
+
+    N = integer("N")
+    if not 1 <= N < 2**63:
+        raise ParseError("preamble N is not a positive 64-bit integer")
+    try:
+        clicks = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        raise ParseError("click records must fit a 64-bit integer")
+    if clicks.min() < 0 or clicks.max() > N:
+        raise InvalidSample(f"click records must lie in [0, {N}]")
+    seed = integer("seed") if "seed" in meta else 0
+    if "trials" in meta and integer("trials") != len(rows):
+        raise ParseError("preamble trials do not match the file")
+    stream = integer("stream") if "stream" in meta else None
+
+    state_echo = parse_state_spec(meta["state"]) if "state" in meta else None
+    config_echo = None
+    if "config" in meta:
+        try:
+            raw_cfg = json.loads(meta["config"])
+        except (json.JSONDecodeError, RecursionError):
+            raise ParseError("preamble config is not valid JSON")
+        if not isinstance(raw_cfg, dict) or set(raw_cfg) != {"N", "eta", "nu"}:
+            raise ParseError("preamble config must carry exactly N, eta, nu")
+        if not all(
+            (isinstance(v, int) and not isinstance(v, bool))
+            or (isinstance(v, float) and math.isfinite(v))
+            for v in raw_cfg.values()
+        ):
+            raise ParseError("preamble config values must be finite numbers")
+        config_echo = DetectorConfig(
+            N=raw_cfg["N"], eta=float(raw_cfg["eta"]), nu=float(raw_cfg["nu"])
+        )
+    return ClickSampleSet(
+        N=N, clicks=clicks, seed=seed, trials=len(rows),
+        config_echo=config_echo, state_echo=state_echo, stream=stream,
+    )

@@ -349,6 +349,35 @@ class TestMalformedInputExitsCleanly:
             clickstats.state_from_dict(data)
 
 
+class TestExtremeStateParameters:
+    """States whose photon law no cutoff can hold exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("state,method", [
+        ('{"kind":"thermal","mean_photons":1e17}', "dp"),
+        ('{"kind":"squeezed_vacuum","r":50}', "auto"),
+        ('{"kind":"squeezed_vacuum","r":1e300}', "auto"),
+    ])
+    def test_truncation_overflow(self, state, method):
+        proc = _fresh_python(
+            "-m", "clickstats", "qb", "--state", state, "--detectors", "8",
+            "--method", method,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: TruncationOverflow")
+
+
+class TestMomentAccuracy:
+    def test_click_variance_of_a_nearly_full_array(self, capsys):
+        # A one-pass E[c^2] - mean^2 loses digits on this law: it gives
+        # 0.91893057582 and q_b = -7.4e-13 against 0.918930575821152 and 0.
+        assert main(["qb", "--state", '{"kind":"coherent","mean_photons":300}',
+                     "--detectors", "64", "--eta", "0.9", "--nu", "0.01"]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert rows["click_variance"] == "0.918930575821"
+        assert abs(float(rows["q_b"])) <= 1e-14
+
+
 class TestNoScipy:
     """The package runs on numpy alone; scipy must not even be imported."""
 

@@ -14,6 +14,7 @@ from clickstats import (
     qb_estimate,
     simulate,
 )
+from clickstats.estimators import _BOOT_DOMAIN, BOOTSTRAP_BLOCK, _statistic
 from clickstats.errors import (
     AllResamplesDegenerate,
     DegenerateMean,
@@ -127,6 +128,39 @@ class TestBootstrap:
         samples = sample_set([0, 1, 1, 2, 0, 1, 2, 1, 0, 1, 1, 2], N=2)
         with pytest.raises(ValueError, match="workers must be positive"):
             bootstrap_ci(samples, "q_b", replicates=200, seed=5, workers=0)
+
+    def test_block_statistic_matches_expanded_samples(self):
+        rng = np.random.default_rng(4)
+        counts = rng.multinomial(50, [0.1, 0.0, 0.3, 0.4, 0.2], size=20)
+        counts[3] = [50, 0, 0, 0, 0]  # degenerate mean: NaN for both statistics
+        q_b = _statistic(counts, "q_b", 4, unbiased=True)
+        q_m = _statistic(counts, "q_m", None, unbiased=True)
+        for row, b, m in zip(counts, q_b, q_m):
+            x = np.repeat(np.arange(5), row)
+            mean, var = x.mean(), x.var(ddof=1)
+            if mean == 0.0:
+                assert np.isnan(b) and np.isnan(m)
+                continue
+            assert b == pytest.approx(4 * var / (mean * (4 - mean)) - 1, rel=1e-12)
+            assert m == pytest.approx(var / mean - 1, rel=1e-12)
+
+    def test_blocks_against_one_replicate_at_a_time(self):
+        # The documented stream: block b of BOOTSTRAP_BLOCK rows comes from
+        # SeedSequence([domain, seed, b]); each row is scored on its own here.
+        clicks = np.array([0, 1, 1, 2, 0, 1, 2, 1, 0, 1, 1, 2, 2, 0])
+        replicates, n = 2 * BOOTSTRAP_BLOCK + 17, clicks.size
+        values = []
+        for block, start in enumerate(range(0, replicates, BOOTSTRAP_BLOCK)):
+            rng = np.random.default_rng(np.random.SeedSequence([_BOOT_DOMAIN, 3, block]))
+            rows = rng.multinomial(n, np.bincount(clicks) / n,
+                                   size=min(BOOTSTRAP_BLOCK, replicates - start))
+            for row in rows:
+                x = np.repeat(np.arange(row.size), row)
+                values.append(x.var(ddof=1) / x.mean() - 1)
+        expected = np.quantile(values, [0.025, 0.975])
+        got = bootstrap_ci(sample_set(clicks, N=2), "q_m", replicates=replicates, seed=3)
+        assert got.discarded == 0
+        assert (got.ci_low, got.ci_high) == pytest.approx(tuple(expected), rel=1e-12)
 
     def test_replicate_floor(self):
         samples = sample_set([0, 1, 1, 2, 0, 1, 2, 1, 0, 1], N=2)

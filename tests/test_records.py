@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clickstats import (
     ClickSampleSet,
@@ -12,8 +13,11 @@ from clickstats import (
     binomial_reference,
     simulate,
 )
-from clickstats.errors import InsufficientData, InvalidSample, ParseError
+from clickstats.errors import ClickStatsError, InsufficientData, InvalidSample, ParseError
 from clickstats import records
+from clickstats.simulator import STREAM_VERSION
+
+import oracles
 
 
 class TestSampleFiles:
@@ -30,6 +34,7 @@ class TestSampleFiles:
         assert back.trials == out.trials
         assert back.state_echo == out.state_echo
         assert back.config_echo == out.config_echo
+        assert back.stream == out.stream == STREAM_VERSION
         np.testing.assert_array_equal(back.clicks, out.clicks)
 
     def test_write_is_deterministic(self, tmp_path):
@@ -64,9 +69,95 @@ class TestSampleFiles:
         with pytest.raises(ParseError):
             records.samples_from_text("# N=2\n# trials=5\nclicks\n1\n")
 
+    def test_stream_tag(self):
+        assert records.samples_from_text("# N=2\nclicks\n1\n").stream is None
+        tagged = records.samples_from_text("# N=2\n# stream=7\nclicks\n1\n")
+        assert tagged.stream == 7
+        assert "# stream=7\n" in records.samples_to_text(tagged)
+        with pytest.raises(ParseError, match="stream"):
+            records.samples_from_text("# N=2\n# stream=2.0\nclicks\n1\n")
+
+    def test_line_grammar(self):
+        text = "  # N=4 \n\nclicks\n 1\n\n# a comment\n\t2 \n+3\n"
+        assert records.samples_from_text(text).clicks.tolist() == [1, 2, 3]
+        with pytest.raises(ParseError, match="line 5"):
+            records.samples_from_text("# N=4\nclicks\n1\n\n1 2\n")
+        with pytest.raises(ParseError, match="64-bit"):
+            records.samples_from_text("# N=4\nclicks\n1\n\n9223372036854775808\n")
+
+    def test_writer_renders_values_up_to_int64(self):
+        clicks = np.array([2**63 - 1, 0, 5, 2**63 - 1, 5], dtype=np.int64)
+        samples = ClickSampleSet(N=2**63 - 1, clicks=clicks, seed=3, trials=5)
+        text = records.samples_to_text(samples)
+        assert text.endswith("clicks\n" + "".join(f"{c}\n" for c in clicks.tolist()))
+        np.testing.assert_array_equal(records.samples_from_text(text).clicks, clicks)
+
+    def test_empty_record_writes_header_only(self):
+        samples = ClickSampleSet(N=2, clicks=np.zeros(0, dtype=np.int64), seed=0, trials=0)
+        assert records.samples_to_text(samples).endswith("\nclicks\n")
+
     def test_missing_path(self):
         with pytest.raises(ParseError):
             records.read_samples("/nonexistent/samples.csv")
+
+
+def _mostly(good, odd):
+    """Draws from ``good`` three times in four, so that many texts parse."""
+    return st.integers(0, 3).flatmap(lambda pick: odd if pick == 0 else good)
+
+
+_PAD = st.sampled_from(["", " ", "\t", "\u2003", "\x1f", "\x0b", "\r"])
+_CLICK_LINE = _mostly(
+    st.integers(0, 8).map(str),
+    st.tuples(_PAD, st.one_of(
+        st.integers(-2, 10).map(str),
+        st.integers(2**63 - 2, 2**64).map(str),
+        st.sampled_from([
+            "", "+3", "007", "1_0", "\u0663", "1 2", "1.0", "x", "#", "# note",
+            "0x1", "-0", "9" * 25, "clicks",
+        ]),
+    ), _PAD).map("".join),
+)
+_PREAMBLE_LINE = _mostly(
+    st.sampled_from([
+        "# N=8", "#N = 12 ", "# seed=5", "# stream=2", "# stream=-1", "# comment",
+        "#", "", '# state={"kind":"fock","n":1}', '# config={"N":8,"eta":0.5,"nu":0.0}',
+    ]),
+    st.sampled_from([
+        "# N=0", "# N=x", "# N=99999999999999999999", "# seed=s", "# trials=3",
+        "# trials=q", "# stream=x", "# state={bad", "# config=[1]",
+    ]),
+)
+_HEADER = _mostly(st.just("clicks"), st.sampled_from([" clicks\t", "click", "# clicks"]))
+
+
+@st.composite
+def _sample_texts(draw):
+    pre = draw(_mostly(st.just(["# N=8"]), st.just([]))) + draw(
+        st.lists(_PREAMBLE_LINE, max_size=4)
+    )
+    body = draw(st.lists(_CLICK_LINE, min_size=1, max_size=8))
+    end = draw(st.sampled_from(["", "\n", "\n\n"]))
+    return "\n".join(pre + [draw(_HEADER)] + body) + end
+
+
+def _outcome(reader, text):
+    try:
+        got = reader(text)
+    except (ClickStatsError, ValueError) as exc:
+        return type(exc)
+    return (got.N, got.seed, got.trials, got.stream, got.clicks.tolist(),
+            got.state_echo, got.config_echo)
+
+
+class TestReaderAgainstLineOracle:
+    """The vectorized reader accepts exactly what a line-by-line reader does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_mostly(_sample_texts(), st.text(max_size=40)))
+    def test_same_records_or_same_error(self, text):
+        expected = _outcome(oracles.samples_from_text_by_lines, text)
+        assert _outcome(records.samples_from_text, text) == expected
 
 
 class TestDistributionFormats:

@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo detector-array simulation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,30 @@ from clickstats import (
     ClickSampleSet,
     DetectorConfig,
     StateSpec,
+    bootstrap_ci,
     click_distribution,
     click_moments,
     empirical_frequencies,
+    records,
     sample_photon_number,
     simulate,
 )
+from clickstats.simulator import STREAM_VERSION
 
 COHERENT4 = StateSpec.coherent(4.0)
 CFG_8_HALF = DetectorConfig(N=8, eta=0.5)
+
+# Per random-stream version: the sha256 of a short dark-count record file and
+# a fixed-seed Q_B bootstrap interval on it. A change that moves either
+# stream must raise STREAM_VERSION and add its entry here.
+GOLDEN = {
+    2: (
+        "71991698e881117516fd2117d7ac4d0b76ab0c2c8ab0aa2a6fec107072854473",
+        (0.35507130749698873, 0.48343165600964716),
+    ),
+}
+# Clicks without dark counts have been the same in every stream version.
+GOLDEN_NO_DARK = "ee0bdfd92749a15f4b9042ff13d7c7b9a0d7a81cc20f3f8e6123a4f7ceeb51d7"
 
 
 class TestDeterminism:
@@ -30,6 +47,13 @@ class TestDeterminism:
             b = simulate(COHERENT4, CFG_8_HALF, trials=20000, seed=123, workers=workers)
             np.testing.assert_array_equal(a.clicks, b.clicks)
 
+    def test_worker_count_does_not_change_dark_count_output(self):
+        config = DetectorConfig(N=64, eta=0.5, nu=0.1)
+        a = simulate(COHERENT4, config, trials=20000, seed=123, workers=1)
+        for workers in (2, 3, 7):
+            b = simulate(COHERENT4, config, trials=20000, seed=123, workers=workers)
+            np.testing.assert_array_equal(a.clicks, b.clicks)
+
     def test_seed_changes_output(self):
         a = simulate(COHERENT4, CFG_8_HALF, trials=5000, seed=1)
         b = simulate(COHERENT4, CFG_8_HALF, trials=5000, seed=2)
@@ -40,6 +64,24 @@ class TestDeterminism:
         a = simulate(COHERENT4, CFG_8_HALF, trials=4096, seed=9)
         b = simulate(COHERENT4, CFG_8_HALF, trials=5000, seed=9)
         np.testing.assert_array_equal(a.clicks, b.clicks[:4096])
+
+
+class TestStreamVersion:
+    def test_golden_record_and_interval(self):
+        record_sha, interval = GOLDEN[STREAM_VERSION]
+        samples = simulate(StateSpec.thermal(1.5), DetectorConfig(N=16, eta=0.6, nu=0.05),
+                           trials=5000, seed=2026)
+        text = records.samples_to_text(samples)
+        assert f"\n# stream={STREAM_VERSION}\n" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == record_sha
+        got = bootstrap_ci(samples, "q_b", replicates=300, seed=11)
+        assert (got.ci_low, got.ci_high) == pytest.approx(interval, rel=1e-12, abs=0)
+
+    def test_clicks_without_dark_counts_never_moved(self):
+        samples = simulate(StateSpec.fock(3), DetectorConfig(N=16, eta=0.6),
+                           trials=5000, seed=2026)
+        text = ",".join(map(str, samples.clicks.tolist()))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_NO_DARK
 
 
 class TestPhysicalModel:
@@ -84,6 +126,15 @@ class TestPhysicalModel:
         emp = empirical_frequencies(out)
         se = np.sqrt(exact.probs * (1.0 - exact.probs) / trials)
         assert np.all(np.abs(emp.probs - exact.probs) <= 5 * np.maximum(se, 1e-300))
+
+    def test_moments_at_1024_detectors_with_dark_counts(self):
+        spec, cfg, trials = StateSpec.thermal(6.0), DetectorConfig(N=1024, eta=0.7, nu=0.05), 40000
+        out = simulate(spec, cfg, trials=trials, seed=29)
+        exact = click_distribution(spec, cfg, "occupancy_dp")
+        mean, var = click_moments(exact)
+        fourth = float(((np.arange(cfg.N + 1) - mean) ** 4) @ exact.probs)
+        assert abs(out.clicks.mean() - mean) <= 5 * np.sqrt(var / trials)
+        assert abs(out.clicks.var(ddof=1) - var) <= 5 * np.sqrt((fourth - var**2) / trials)
 
     def test_dark_counts_only(self):
         nu = 0.5
