@@ -150,16 +150,22 @@ def _alternating_sum(g: np.ndarray, N: int) -> np.ndarray:
         def log_comb(n, k):
             return lg[n] - lg[k] - lg[n - k]
 
-        for k in range(N + 1):
-            lc_outer = log_comb(N, k)
-            terms = []
-            for j in range(k + 1):
-                gv = g[N - k + j]
-                if gv == 0.0:
-                    continue
-                mag = math.exp(lc_outer + log_comb(k, j) + math.log(gv))
-                terms.append(-mag if j % 2 else mag)
-            raw[k] = math.fsum(terms)
+        try:
+            for k in range(N + 1):
+                lc_outer = log_comb(N, k)
+                terms = []
+                for j in range(k + 1):
+                    gv = g[N - k + j]
+                    if gv == 0.0:
+                        continue
+                    mag = math.exp(lc_outer + log_comb(k, j) + math.log(gv))
+                    terms.append(-mag if j % 2 else mag)
+                raw[k] = math.fsum(terms)
+        except OverflowError:
+            # A term beyond float range (from N ~ 650 on): no sum of such
+            # terms can be trusted, so the law is marked invalid and fails
+            # every validity check.
+            raw.fill(math.nan)
     return raw
 
 
@@ -257,7 +263,8 @@ def click_distribution(
 
     ``method`` selects the evaluation route: "generating_function" (Path A),
     "occupancy_dp" (Path B), or "auto", which tries Path A and falls back to
-    Path B whenever Path A produces an entry below -1e-12 or misses unit
+    Path B whenever Path A produces a non-finite entry (an overflowing
+    log-space sum gives all NaN), an entry below -1e-12, or misses unit
     normalization by more than 1e-9. A requested route that fails its
     validity checks raises NumericalInstability.
     """

@@ -11,19 +11,22 @@ Resamples are drawn as multinomial counts over the observed click values,
 which is exactly an n-out-of-n resample with replacement reduced to its
 sufficient statistics. Replicates are drawn in blocks of BOOTSTRAP_BLOCK
 rows, one ``multinomial(..., size=block)`` call per block, each block from
-its own stream derived from (seed, block index); the statistic is then
-evaluated over the whole block matrix at once. The block size bounds the
-memory a large replicate count needs.
+its own stream derived from (seed, block index), and reduced at once to one
+mean and one variance per replicate. Q_B and Q_M are both functions of those
+two numbers and the streams name no statistic, so the two statistics of one
+record share one draw (the last draw's moments are kept). The block size
+bounds the memory a large replicate count needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .click_kernel import ClickDistribution, DEGENERATE_MEAN_TOL
+from .click_kernel import DEGENERATE_MEAN_TOL, MAX_DETECTORS, ClickDistribution
 from .errors import (
     AllResamplesDegenerate,
     DegenerateMean,
@@ -97,15 +100,49 @@ def empirical_frequencies(samples: ClickSampleSet) -> ClickDistribution:
     return ClickDistribution(samples.N, counts / samples.trials)
 
 
-def _statistic(counts: np.ndarray, statistic: str, N: int | None, unbiased: bool):
-    """Plug-in Q_B or Q_M of value-count vectors along the last axis.
+def _histogram(clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Click values in ascending order and how often each occurs.
 
-    Entries whose sample mean is degenerate come out as NaN.
+    Up to MAX_DETECTORS, every count a simulated record can hold, the
+    histogram is dense: all values from 0 to the largest, zero counts kept,
+    which is the layout every interval of this stream version was computed
+    on (moment sums round differently when zeros are dropped). Records with
+    larger values, which only a file can carry, list just the values that
+    occur, so that memory follows the record rather than its largest value.
     """
+    if clicks.max(initial=0) <= MAX_DETECTORS:
+        counts = np.bincount(clicks)
+        return np.arange(counts.size), counts
+    return np.unique(clicks, return_counts=True)
+
+
+def _sample_moments(counts: np.ndarray, values: np.ndarray | None, unbiased: bool):
+    """Sample mean and variance of value-count vectors along the last axis."""
     n = counts.sum(axis=-1)
-    mean, variance = law_moments(counts, n)
+    mean, variance = law_moments(counts, n, values)
     if unbiased:
         variance = variance * (n / (n - 1))
+    return mean, variance
+
+
+def _statistic(
+    counts: np.ndarray,
+    statistic: str,
+    N: int | None,
+    unbiased: bool,
+    values: np.ndarray | None = None,
+):
+    """Plug-in Q_B or Q_M of value-count vectors along the last axis.
+
+    ``values`` names the value each count belongs to (0, 1, ... when
+    omitted). Entries whose sample mean is degenerate come out as NaN.
+    """
+    mean, variance = _sample_moments(counts, values, unbiased)
+    return _from_moments(mean, variance, statistic, N)
+
+
+def _from_moments(mean, variance, statistic: str, N: int | None):
+    """Q_B or Q_M from means and variances; NaN where the mean is degenerate."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if statistic == "q_b":
             ok = (mean >= DEGENERATE_MEAN_TOL) & (mean <= N - DEGENERATE_MEAN_TOL)
@@ -114,6 +151,37 @@ def _statistic(counts: np.ndarray, statistic: str, N: int | None, unbiased: bool
             ok = mean >= DEGENERATE_MEAN_TOL
             value = variance / mean - 1.0
     return np.where(ok, value, np.nan)
+
+
+@lru_cache(maxsize=1)
+def _replicate_moments(
+    values: bytes, counts: bytes, seed: int, replicates: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and unbiased variance of every bootstrap replicate of a histogram.
+
+    ``values`` and ``counts`` are the int64 bytes of ``_histogram``'s arrays.
+    Block b of BOOTSTRAP_BLOCK replicates is one multinomial draw from the
+    stream (domain, seed, b), which names no statistic, so Q_B and Q_M of
+    one record share the same resamples. Both are functions of these two
+    numbers per replicate; the last result is kept, so the second statistic
+    draws nothing. The arrays are read-only because every caller gets them.
+    """
+    value_arr = np.frombuffer(values, dtype=np.int64)
+    count_arr = np.frombuffer(counts, dtype=np.int64)
+    n = int(count_arr.sum())
+    freqs = count_arr / n
+    mean = np.empty(replicates)
+    variance = np.empty(replicates)
+    for block, start in enumerate(range(0, replicates, BOOTSTRAP_BLOCK)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([_BOOT_DOMAIN, seed, block])
+        )
+        rows = slice(start, min(start + BOOTSTRAP_BLOCK, replicates))
+        resampled = rng.multinomial(n, freqs, size=rows.stop - start)
+        mean[rows], variance[rows] = _sample_moments(resampled, value_arr, unbiased=True)
+    mean.setflags(write=False)
+    variance.setflags(write=False)
+    return mean, variance
 
 
 class BootstrapInterval(NamedTuple):
@@ -157,18 +225,13 @@ def bootstrap_ci(
         raise InsufficientData(
             f"bootstrap needs at least {MIN_BOOTSTRAP_SAMPLE} samples, got {n}"
         )
-    freqs = np.bincount(clicks) / n
+    values, counts = _histogram(clicks)
+    mean, variance = _replicate_moments(
+        values.tobytes(), counts.tobytes(), seed, replicates
+    )
+    scores = _from_moments(mean, variance, statistic, N)
 
-    values = np.empty(replicates)
-    for block, start in enumerate(range(0, replicates, BOOTSTRAP_BLOCK)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([_BOOT_DOMAIN, seed, block])
-        )
-        rows = min(BOOTSTRAP_BLOCK, replicates - start)
-        resampled = rng.multinomial(n, freqs, size=rows)
-        values[start : start + rows] = _statistic(resampled, statistic, N, unbiased=True)
-
-    kept = values[~np.isnan(values)]
+    kept = scores[~np.isnan(scores)]
     discarded = replicates - kept.size
     if kept.size == 0:
         raise AllResamplesDegenerate(
@@ -238,7 +301,8 @@ def qb_estimate(
         raise InsufficientData(f"need at least 2 trials, got {clicks.size}")
     if clicks.min() < 0 or clicks.max() > N:
         raise InvalidSample(f"click records must lie in [0, {N}]")
-    point = float(_statistic(np.bincount(clicks), "q_b", N, unbiased))
+    values, counts = _histogram(clicks)
+    point = float(_statistic(counts, "q_b", N, unbiased, values))
     if np.isnan(point):
         raise DegenerateMean(
             f"sample mean within {DEGENERATE_MEAN_TOL} of the boundary of [0, {N}]"
@@ -264,7 +328,8 @@ def mandel_q_estimate(
     counts_arr, _ = _clicks_array(samples)
     if counts_arr.size < 2:
         raise InsufficientData(f"need at least 2 samples, got {counts_arr.size}")
-    point = float(_statistic(np.bincount(counts_arr), "q_m", None, unbiased))
+    values, counts = _histogram(counts_arr)
+    point = float(_statistic(counts, "q_m", None, unbiased, values))
     if np.isnan(point):
         raise DegenerateMean(f"sample mean below {DEGENERATE_MEAN_TOL}")
     boot_samples = samples if isinstance(samples, ClickSampleSet) else counts_arr

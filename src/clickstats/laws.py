@@ -106,15 +106,20 @@ def poisson_pmf(mu: float, size: int) -> np.ndarray:
     return probs
 
 
-def law_moments(weights: np.ndarray, total: float = 1.0):
-    """Mean and variance of k = 0, 1, ... under the weights w_k / total.
+def law_moments(weights: np.ndarray, total: float = 1.0, values=None):
+    """Mean and variance of the values under the weights w_k / total.
 
-    Works along the last axis, so a 2-d array of count vectors gives one mean
-    and one variance per row. The variance is the two-pass sum
-    sum_k (k - mean)^2 w_k / total: every term is nonnegative, whereas
-    E[k^2] - mean^2 loses digits in proportion to E[k^2] / variance.
+    The values default to k = 0, 1, ...; explicit ones, one per weight, let a
+    histogram list only the values that occur. Works along the last axis, so
+    a 2-d array of count vectors gives one mean and one variance per row. The
+    variance is the two-pass sum sum_k (x_k - mean)^2 w_k / total: every term
+    is nonnegative, whereas E[x^2] - mean^2 loses digits in proportion to
+    E[x^2] / variance.
     """
-    k = np.arange(weights.shape[-1], dtype=np.float64)
+    if values is None:
+        k = np.arange(weights.shape[-1], dtype=np.float64)
+    else:
+        k = np.asarray(values, dtype=np.float64)
     mean = (weights @ k) / total
     dev = k - mean[..., None]
     dev *= dev

@@ -16,13 +16,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .click_kernel import ClickDistribution, DetectorConfig, NonclassicalityReport
+from .click_kernel import (
+    MAX_DETECTORS,
+    ClickDistribution,
+    DetectorConfig,
+    NonclassicalityReport,
+)
 from .errors import InsufficientData, InvalidSample, ParseError, ValidationError
 from .estimators import EstimateReport
 from .simulator import ClickSampleSet
 from .states import parse_state_spec
 
 SAMPLE_HEADER = "clicks"
+# Widest click line the vectorized reader takes: every count N <= MAX_DETECTORS
+# the simulator can write.
+_FAST_DIGITS = len(str(MAX_DETECTORS))
 
 
 def format_number(value: float) -> str:
@@ -65,12 +73,32 @@ def samples_to_text(samples: ClickSampleSet) -> str:
             + _json_compact({"N": cfg.N, "eta": cfg.eta, "nu": cfg.nu})
         )
     lines.append(SAMPLE_HEADER)
-    # One rendered line per distinct value, picked out by index. A table
-    # indexed by the value itself is no option: a record read back from a
-    # file may carry values up to 2^63.
-    values, which = np.unique(samples.clicks, return_inverse=True)
-    table = np.array([f"{v}\n" for v in values.tolist()], dtype=object)
-    return "\n".join(lines) + "\n" + "".join(table[which].tolist())
+    return "\n".join(lines) + "\n" + _digit_lines(samples.clicks)
+
+
+def _digit_lines(clicks: np.ndarray) -> str:
+    """Nonnegative int64 values as decimal lines, rendered in one pass.
+
+    Row i of a (n, width + 1) byte matrix holds value i zero-padded to the
+    width of the largest value, then a newline; the pad bytes before each
+    value's leading digit are masked out.
+    """
+    if not clicks.size:
+        return ""
+    width = len(str(int(clicks.max())))
+    digits = np.empty((clicks.size, width + 1), dtype=np.uint8)
+    rest = clicks
+    for column in range(width - 1, -1, -1):
+        # Floor division by a constant is fast in numpy; % and divmod are not.
+        quotient = rest // 10
+        digits[:, column] = rest - 10 * quotient
+        rest = quotient
+    digits[:, :width] += ord("0")
+    digits[:, width] = ord("\n")
+    keep = np.ones(digits.shape, dtype=bool)
+    powers = 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
+    keep[:, : width - 1] = powers <= clicks[:, None]
+    return digits[keep].tobytes().decode("ascii")
 
 
 def write_samples(path: str, samples: ClickSampleSet) -> None:
@@ -114,10 +142,12 @@ def _parse_clicks(rows: list[str], first_lineno: int) -> np.ndarray:
         raise
 
 
-def samples_from_text(text: str) -> ClickSampleSet:
+def _read_preamble(lines: list[str]) -> tuple[dict[str, str], int]:
+    """The ``key=value`` comments before the header, and the header's index.
+
+    The index is ``len(lines)`` when no header line is found.
+    """
     meta: dict[str, str] = {}
-    lines = text.splitlines()
-    header = len(lines)  # no header line: no records
     for index, raw in enumerate(lines):
         line = raw.strip()
         if not line:
@@ -132,13 +162,64 @@ def samples_from_text(text: str) -> ClickSampleSet:
             raise ParseError(
                 f"line {index + 1}: expected header {SAMPLE_HEADER!r}, got {line!r}"
             )
-        header = index
-        break
+        return meta, index
+    return meta, len(lines)
 
-    try:
-        clicks = _parse_clicks(lines[header + 1 :], header + 2)
-    except OverflowError:
-        raise ParseError("click records must fit a 64-bit integer") from None
+
+def _digit_column(body: str) -> np.ndarray | None:
+    """The clicks of a record body as written here, or None for any other body.
+
+    A body as written here holds only newline-terminated lines of 1 to
+    ``_FAST_DIGITS`` ASCII digits. Each line's digits are gathered right-aligned into a (lines, width)
+    matrix, the bytes before a line's start masked to zero, and the columns
+    are combined by Horner's rule.
+    """
+    if not body.isascii():
+        return None
+    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    if not ends.size or ends[-1] != raw.size - 1:
+        return None
+    lengths = np.diff(ends, prepend=-1) - 1
+    digit_bytes = np.count_nonzero((raw >= ord("0")) & (raw <= ord("9")))
+    if (digit_bytes + ends.size != raw.size or lengths.min() < 1
+            or lengths.max() > _FAST_DIGITS):
+        return None
+    width = int(lengths.max())
+    offsets = np.arange(-width, 0)
+    digits = raw[np.maximum(ends[:, None] + offsets, 0)] - ord("0")
+    digits[offsets < -lengths[:, None]] = 0
+    clicks = digits[:, 0].astype(np.int64)
+    for column in range(1, width):
+        clicks *= 10
+        clicks += digits[:, column]
+    return clicks
+
+
+def samples_from_text(text: str) -> ClickSampleSet:
+    """Parse a sample-record file.
+
+    The grammar is line based: ``# key=value`` preamble comments, a
+    ``clicks`` header, then one integer per line, stripped, with blank and
+    ``#`` lines skipped. A record as written here (the first ``clicks``
+    line followed only by short digit lines) takes a vectorized path;
+    every other text is read line by line by the same rules.
+    """
+    clicks = None
+    # The leading newline also finds a header on the first line.
+    cut = ("\n" + text).find(f"\n{SAMPLE_HEADER}\n")
+    if cut >= 0:
+        head = text[:cut].splitlines()
+        meta, header = _read_preamble(head)
+        if header == len(head):
+            clicks = _digit_column(text[cut + len(SAMPLE_HEADER) + 1 :])
+    if clicks is None:
+        lines = text.splitlines()
+        meta, header = _read_preamble(lines)
+        try:
+            clicks = _parse_clicks(lines[header + 1 :], header + 2)
+        except OverflowError:
+            raise ParseError("click records must fit a 64-bit integer") from None
     if not clicks.size:
         raise InsufficientData("sample file contains no click records")
     if "N" not in meta:

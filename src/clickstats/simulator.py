@@ -112,6 +112,25 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
+def _count_occupied(
+    trial_ids: np.ndarray, landed: np.ndarray, size: int, N: int
+) -> np.ndarray:
+    """Distinct detectors hit per trial, from (trial, detector) photon pairs.
+
+    Each trial owns ceil(N/64) 64-bit words with one bit per detector: the
+    photons set their bits and a popcount per trial counts the occupied
+    detectors. That is N/8 bytes of scratch per trial, not N.
+    """
+    words = -(-N // 64)
+    occupancy = np.zeros(size * words, dtype=np.uint64)
+    np.bitwise_or.at(
+        occupancy,
+        trial_ids * words + (landed >> 6),
+        np.left_shift(np.uint64(1), (landed & 63).astype(np.uint64)),
+    )
+    return np.bitwise_count(occupancy).reshape(size, words).sum(axis=1, dtype=np.int64)
+
+
 def _simulate_chunk(
     cum: np.ndarray,
     config: DetectorConfig,
@@ -129,9 +148,7 @@ def _simulate_chunk(
 
     trial_ids = np.repeat(np.arange(size), survivors)
     landed = rng.integers(0, N, size=int(survivors.sum()))
-    hit = np.zeros((size, N), dtype=bool)
-    hit[trial_ids, landed] = True
-    clicks = np.count_nonzero(hit, axis=1).astype(np.int64, copy=False)
+    clicks = _count_occupied(trial_ids, landed, size, N)
 
     if nu > 0.0:
         clicks += rng.binomial(N - clicks, -math.expm1(-nu))

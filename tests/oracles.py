@@ -119,6 +119,18 @@ def dark_convolution_by_rows(occ_probs, N: int, nu: float) -> np.ndarray:
     return out
 
 
+def occupied_by_scatter(trial_ids, landed, size: int, N: int) -> np.ndarray:
+    """Distinct detectors hit per trial, from a (size, N) boolean matrix.
+
+    The simulator's count before it packed the occupancy into 64-bit words:
+    every (trial, detector) photon pair marks its cell and each row is
+    counted.
+    """
+    hit = np.zeros((size, N), dtype=bool)
+    hit[trial_ids, landed] = True
+    return np.count_nonzero(hit, axis=1).astype(np.int64)
+
+
 def samples_from_text_by_lines(text: str):
     """The sample-record reader as it was before it became vectorized.
 

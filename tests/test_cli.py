@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line verbs and their exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import clickstats
 from clickstats import records
@@ -365,6 +368,157 @@ class TestExtremeStateParameters:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: TruncationOverflow")
+
+
+class TestLogSpaceOverflow:
+    """Where the log-space inclusion-exclusion overflows, auto falls back to
+    the occupancy route and a forced gf exits 1, never with a traceback."""
+
+    @pytest.mark.parametrize("N", ["653", "1024"])
+    def test_auto_report_is_the_occupancy_report(self, N):
+        state = '{"kind":"thermal","mean_photons":2.0}'
+        auto = _fresh_python("-m", "clickstats", "qb", "--state", state, "--detectors", N)
+        dp = _fresh_python("-m", "clickstats", "qb", "--state", state, "--detectors", N,
+                           "--method", "dp")
+        assert auto.returncode == 0, auto.stderr
+        assert dp.returncode == 0, dp.stderr
+        assert auto.stdout == dp.stdout
+        assert "q_b," in auto.stdout
+
+    @pytest.mark.parametrize("N", ["653", "1024"])
+    def test_forced_gf_is_a_domain_error(self, N):
+        proc = _fresh_python(
+            "-m", "clickstats", "dist", "--state", '{"kind":"thermal","mean_photons":2.0}',
+            "--detectors", N, "--method", "gf",
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: NumericalInstability")
+
+
+class TestHugeClickValues:
+    def test_analyze_under_a_3gb_address_space(self, tmp_path):
+        # Counting click values by bincount would allocate 37 GiB here.
+        sample_file = tmp_path / "s.csv"
+        clicks = [0, 5000000000, 1, 2, 5000000000, 3, 0, 1, 5000000000, 2, 4, 0]
+        sample_file.write_text(
+            "# N=5000000000\nclicks\n" + "".join(f"{c}\n" for c in clicks)
+        )
+        proc = _fresh_python("-c", (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from clickstats.cli import main\n"
+            f"sys.exit(main(['analyze', '--in', {str(sample_file)!r}, "
+            "'--bootstrap', '200', '--seed', '1']))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        rows = records.parse_estimates(proc.stdout)
+        assert [r.statistic_name for r in rows] == ["q_b", "q_m"]
+        for r in rows:
+            assert all(math.isfinite(v) for v in (r.point_estimate, r.ci_low, r.ci_high))
+
+
+@pytest.fixture(scope="module")
+def record_files(tmp_path_factory):
+    """A valid, a malformed and a missing sample file for the argv property."""
+    root = tmp_path_factory.mktemp("argv")
+    good = root / "good.csv"
+    assert main(["simulate", "--state", COHERENT4, "--detectors", "8", "--eta", "0.5",
+                 "--trials", "300", "--seed", "2", "--out", str(good)]) == 0
+    bad = root / "bad.csv"
+    bad.write_text("# N=8\nclicks\n1\nbanana\n")
+    return [str(good), str(bad), str(root / "missing.csv")]
+
+
+def _mostly(good, odd):
+    """Draws from ``good`` about five times in six, so that many argvs run.
+
+    The odd branch sits mid-range: hypothesis favours the ends of a range.
+    """
+    return st.integers(0, 5).flatmap(lambda pick: odd if pick == 2 else good)
+
+
+def _text(values):
+    return st.sampled_from([str(v) for v in values])
+
+
+_STATES = _mostly(
+    _text([
+        COHERENT4, FOCK1, '{"kind":"thermal","mean_photons":2.0}',
+        '{"kind":"squeezed_vacuum","r":0.5}', '{"kind":"fock","n":0}',
+        '{"kind":"explicit","probs":[0.5,0.5]}',
+        '{"kind":"mixture","components":[{"weight":0.5,"state":{"kind":"fock","n":2}},'
+        '{"weight":0.5,"state":{"kind":"coherent","mean_photons":1.0}}]}',
+    ]),
+    _text([
+        '{"kind":"thermal","mean_photons":-1}', '{"kind":"fock","n":1.5}',
+        '{"kind":"squeezed_vacuum","r":30}', '{"kind":"thermal","mean_photons":1e17}',
+        '{"kind":"nope"}', "{bad json", "[]", "no/such/state.json",
+    ]),
+)
+_BAD_NUMBER = _text(["nan", "inf", "-inf", "1e400", "-1", "x", ""])
+_DETECTORS = _mostly(st.integers(1, 64).map(str), _text(["0", "-1", "99999", "1.5", "x"]))
+_ETA = _mostly(st.floats(0, 1).map(repr), _text(["1.5", "-0.1"]) | _BAD_NUMBER)
+_NU = _mostly(st.floats(0, 0.5).map(repr), _text(["11"]) | _BAD_NUMBER)
+_SEED = _mostly(st.integers(0, 1000).map(str), _text([-1, 2**64, "y"]))
+
+
+def _option(flag, values):
+    """``[flag, value]`` mostly, and sometimes nothing, so options go missing."""
+    present = values.map(lambda v: [flag, v])
+    return st.integers(0, 7).flatmap(lambda pick: st.just([]) if pick == 3 else present)
+
+
+@st.composite
+def _argv(draw, files):
+    """CLI arguments of every verb, with bad and missing values mixed in."""
+    verb = draw(_mostly(_text(["dist", "qb", "simulate", "analyze", "sweep"]), _text(["fit"])))
+    argv = [verb]
+    if verb == "analyze":
+        argv += draw(_option("--in", _mostly(st.just(files[0]), st.sampled_from(files[1:]))))
+        argv += draw(_option("--bootstrap", _mostly(_text([0, 100, 200]), _text([50, -3, "x"]))))
+        argv += draw(_option("--level", _mostly(st.floats(0.01, 0.99).map(repr),
+                                                _text([0, 1]) | _BAD_NUMBER)))
+        argv += draw(_option("--seed", _SEED))
+    else:
+        argv += draw(_option("--state", _STATES))
+        argv += draw(_option("--detectors", _DETECTORS))
+        argv += draw(_option("--eta", _ETA))
+        argv += draw(_option("--nu", _NU))
+        if verb != "simulate":
+            argv += draw(_option("--method", _mostly(_text(["gf", "dp", "auto"]),
+                                                     _text(["exact"]))))
+    if verb == "simulate":
+        argv += draw(_option("--trials", _mostly(st.integers(1, 500).map(str),
+                                                 _text([0, -5, "x"]))))
+        argv += draw(_option("--seed", _SEED))
+    if verb in ("simulate", "analyze"):
+        argv += draw(_option("--workers", _mostly(_text([1, 2, 3]), _text([0, -1, "x"]))))
+    if verb == "sweep":
+        axis = draw(_mostly(_text(["eta", "nu", "N", "mean_photons", "r"]), _text(["q"])))
+        argv += draw(_option("--sweep-axis", st.just(axis)))
+        bound = _mostly(st.integers(1, 64).map(str), _BAD_NUMBER) if axis == "N" else _ETA
+        argv += draw(_option("--from", bound))
+        argv += draw(_option("--to", bound))
+        argv += draw(_option("--steps", _mostly(_text([1, 2, 5]), _text([0, -1, "x"]))))
+    if verb != "simulate":
+        argv += draw(_option("--format", _mostly(_text(["table", "structured"]), _text(["xml"]))))
+    return argv
+
+
+class TestArgvExitCodes:
+    """Whatever the argv, main returns 0, 1 or 2 and raises nothing."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_contract(self, record_files, data):
+        argv = data.draw(_argv(record_files))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        if code:
+            assert err.getvalue(), argv
 
 
 class TestMomentAccuracy:

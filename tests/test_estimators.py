@@ -14,7 +14,12 @@ from clickstats import (
     qb_estimate,
     simulate,
 )
-from clickstats.estimators import _BOOT_DOMAIN, BOOTSTRAP_BLOCK, _statistic
+from clickstats.estimators import (
+    _BOOT_DOMAIN,
+    BOOTSTRAP_BLOCK,
+    _replicate_moments,
+    _statistic,
+)
 from clickstats.errors import (
     AllResamplesDegenerate,
     DegenerateMean,
@@ -208,3 +213,99 @@ class TestBootstrap:
         )
         report = qb_estimate(out, bootstrap_replicates=1000, seed=72)
         assert report.ci_low <= 0.0 <= report.ci_high
+
+
+class TestSharedBootstrapDraw:
+    """Q_B and Q_M of one record share one memoized draw of replicate moments."""
+
+    @staticmethod
+    def _record(seed=13):
+        return simulate(StateSpec.thermal(1.5), DetectorConfig(N=8, eta=0.7),
+                        trials=3000, seed=seed)
+
+    def test_second_statistic_equals_a_fresh_draw(self):
+        samples = self._record()
+        _replicate_moments.cache_clear()
+        bootstrap_ci(samples, "q_b", replicates=300, seed=4)
+        shared = bootstrap_ci(samples, "q_m", replicates=300, seed=4)
+        assert _replicate_moments.cache_info().hits == 1
+        _replicate_moments.cache_clear()
+        fresh = bootstrap_ci(samples, "q_m", replicates=300, seed=4)
+        assert shared == fresh
+        assert _replicate_moments.cache_info().hits == 0
+
+    def test_new_seed_replicates_or_record_miss_the_memo(self):
+        samples, other = self._record(), self._record(seed=14)
+        _replicate_moments.cache_clear()
+        first = bootstrap_ci(samples, "q_m", replicates=300, seed=4)
+        for record, replicates, seed in ((samples, 300, 5), (samples, 301, 4), (other, 300, 4)):
+            got = bootstrap_ci(record, "q_m", replicates=replicates, seed=seed)
+            assert got != first
+        info = _replicate_moments.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 4, 1)
+
+    def test_memoized_arrays_are_read_only(self):
+        samples = self._record()
+        values, counts = np.unique(samples.clicks, return_counts=True)
+        mean, variance = _replicate_moments(values.tobytes(), counts.tobytes(), 4, 300)
+        assert mean.shape == variance.shape == (300,)
+        for arr in (mean, variance):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_intervals_match_per_statistic_draws(self, sparse):
+        # The interval each statistic gets from the shared moments equals the
+        # one from scoring its own multinomial draw over the dense histogram,
+        # block by block: bit for bit, also where values below and between
+        # the observed ones never occur.
+        samples = self._record()
+        if sparse:
+            clicks = np.random.default_rng(2).choice([5, 9, 30, 31, 40, 57], size=3000)
+            samples = sample_set(clicks, N=64)
+        n = samples.trials
+        freqs = np.bincount(samples.clicks) / n
+        for statistic, N in (("q_b", samples.N), ("q_m", None)):
+            scores = []
+            for block, start in enumerate(range(0, 600, BOOTSTRAP_BLOCK)):
+                rng = np.random.default_rng(np.random.SeedSequence([_BOOT_DOMAIN, 9, block]))
+                rows = rng.multinomial(n, freqs, size=min(BOOTSTRAP_BLOCK, 600 - start))
+                scores.extend(_statistic(rows, statistic, N, unbiased=True))
+            expected = tuple(np.quantile(scores, [0.025, 0.975]))
+            got = bootstrap_ci(samples, statistic, replicates=600, seed=9)
+            assert (got.ci_low, got.ci_high) == expected
+
+
+class TestDistinctValueHistogram:
+    """Memory follows the record, not the size of its largest click value."""
+
+    def test_huge_click_values(self):
+        big = 5_000_000_000
+        clicks = [0, big, 1, big, 2, 0, big, 3, 1, big, 0, 2]
+        samples = ClickSampleSet(N=big, clicks=np.array(clicks), seed=0, trials=len(clicks))
+        x = np.array(clicks, dtype=np.float64)
+        mean, var = x.mean(), x.var(ddof=1)
+        qb = qb_estimate(samples, bootstrap_replicates=200, seed=3)
+        qm = mandel_q_estimate(samples, bootstrap_replicates=200, seed=3)
+        assert qb.point_estimate == pytest.approx(big * var / (mean * (big - mean)) - 1, rel=1e-12)
+        assert qm.point_estimate == pytest.approx(var / mean - 1, rel=1e-12)
+        for report in (qb, qm):
+            assert np.isfinite([report.ci_low, report.ci_high]).all()
+            assert report.ci_low <= report.point_estimate <= report.ci_high
+
+    def test_distinct_values_draw_what_the_dense_histogram_draws(self):
+        # Values above MAX_DETECTORS, with gaps, are counted by distinct
+        # value; a multinomial draws nothing for an empty category, so the
+        # resamples equal those over the dense 0..max histogram.
+        rng = np.random.default_rng(8)
+        clicks = rng.choice([1030, 1031, 1500, 1502, 1990], size=400)
+        samples = ClickSampleSet(N=2000, clicks=clicks, seed=0, trials=clicks.size)
+        n, freqs = clicks.size, np.bincount(clicks) / clicks.size
+        scores = []
+        for block, start in enumerate(range(0, 300, BOOTSTRAP_BLOCK)):
+            draw = np.random.default_rng(np.random.SeedSequence([_BOOT_DOMAIN, 6, block]))
+            rows = draw.multinomial(n, freqs, size=min(BOOTSTRAP_BLOCK, 300 - start))
+            scores.extend(_statistic(rows, "q_b", 2000, unbiased=True))
+        expected = np.quantile(scores, [0.025, 0.975])
+        got = bootstrap_ci(samples, "q_b", replicates=300, seed=6)
+        assert (got.ci_low, got.ci_high) == pytest.approx(tuple(expected), rel=1e-12)

@@ -92,6 +92,45 @@ class TestSampleFiles:
         assert text.endswith("clicks\n" + "".join(f"{c}\n" for c in clicks.tolist()))
         np.testing.assert_array_equal(records.samples_from_text(text).clicks, clicks)
 
+    def test_digit_lines_and_every_other_body_read_alike(self):
+        # Short digit lines take the vectorized path; the rest fall back to the
+        # line-by-line grammar and must give the same clicks.
+        head = "# N=99999\nclicks\n"
+        cases = {
+            "1234\n0\n0042\n7\n": [1234, 0, 42, 7],
+            "12345\n1\n": [12345, 1],
+            "12\n3": [12, 3],
+            "12\r\n3\r\n": [12, 3],
+            "12\n\n3\n": [12, 3],
+            "12\n# note\n3\n": [12, 3],
+            " 12\n3\n": [12, 3],
+            "+12\n3\n": [12, 3],
+        }
+        for body, clicks in cases.items():
+            got = records.samples_from_text(head + body)
+            assert got.clicks.tolist() == clicks, body
+            assert got.clicks.dtype == np.int64
+            assert got.N == 99999
+        with pytest.raises(ParseError, match="line 4"):
+            records.samples_from_text(head + "1\n-\n")
+        with pytest.raises(InvalidSample):
+            records.samples_from_text(head + "1\n100000\n")
+        with pytest.raises(ParseError, match="64-bit"):
+            records.samples_from_text(head + "1\n9223372036854775808\n")
+
+    def test_header_is_the_first_non_comment_line(self):
+        # A stripped " clicks" line before the first bare one is the header.
+        text = "# N=9\n clicks\n4\nclicks\n5\n"
+        with pytest.raises(ParseError, match="line 4"):
+            records.samples_from_text(text)
+        text = "# N=9\n clicks\n4\n5\nclicks\n"
+        with pytest.raises(ParseError, match="line 5"):
+            records.samples_from_text(text)
+        with pytest.raises(ParseError, match="missing N"):
+            records.samples_from_text("clicks\n1\n2\n")
+        with pytest.raises(ParseError, match="line 2"):
+            records.samples_from_text("# N=9\nbanana\nclicks\n1\n")
+
     def test_empty_record_writes_header_only(self):
         samples = ClickSampleSet(N=2, clicks=np.zeros(0, dtype=np.int64), seed=0, trials=0)
         assert records.samples_to_text(samples).endswith("\nclicks\n")
@@ -107,8 +146,15 @@ def _mostly(good, odd):
 
 
 _PAD = st.sampled_from(["", " ", "\t", "\u2003", "\x1f", "\x0b", "\r"])
+# Clicks of 1-5 and of 18-20 digits, the widest beyond int64; sometimes
+# with leading zeros.
+_CLICK_DIGITS = st.tuples(
+    st.sampled_from(["", "", "0", "00"]),
+    st.one_of(st.integers(0, 8), st.integers(0, 99999),
+              st.integers(10**17, 10**20 - 1)).map(str),
+).map("".join)
 _CLICK_LINE = _mostly(
-    st.integers(0, 8).map(str),
+    _CLICK_DIGITS,
     st.tuples(_PAD, st.one_of(
         st.integers(-2, 10).map(str),
         st.integers(2**63 - 2, 2**64).map(str),
@@ -131,14 +177,27 @@ _PREAMBLE_LINE = _mostly(
 _HEADER = _mostly(st.just("clicks"), st.sampled_from([" clicks\t", "click", "# clicks"]))
 
 
+# Lines as the writer emits them, up to one digit too wide for the fast reader.
+_SHORT_CLICK = st.tuples(
+    st.sampled_from([""] * 7 + ["0"]), st.integers(0, 9999).map(str)
+).map("".join)
+_N_LINE = st.sampled_from(["# N=8", "# N=99999", "# N=9223372036854775807"])
+
+
 @st.composite
 def _sample_texts(draw):
-    pre = draw(_mostly(st.just(["# N=8"]), st.just([]))) + draw(
+    pre = draw(_mostly(_N_LINE.map(lambda line: [line]), st.just([]))) + draw(
         st.lists(_PREAMBLE_LINE, max_size=4)
     )
-    body = draw(st.lists(_CLICK_LINE, min_size=1, max_size=8))
-    end = draw(st.sampled_from(["", "\n", "\n\n"]))
-    return "\n".join(pre + [draw(_HEADER)] + body) + end
+    body = draw(st.one_of(
+        st.lists(_SHORT_CLICK, min_size=1, max_size=8),
+        st.lists(_CLICK_LINE, min_size=1, max_size=8),
+    ))
+    newline = draw(_mostly(st.just("\n"), st.just("\r\n")))
+    end = draw(_mostly(
+        st.just(newline), st.sampled_from(["", "\n\n", newline + "# end" + newline])
+    ))
+    return newline.join(pre + [draw(_HEADER)] + body) + end
 
 
 def _outcome(reader, text):

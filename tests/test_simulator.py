@@ -17,7 +17,9 @@ from clickstats import (
     sample_photon_number,
     simulate,
 )
-from clickstats.simulator import STREAM_VERSION
+from clickstats.simulator import STREAM_VERSION, _count_occupied
+
+import oracles
 
 COHERENT4 = StateSpec.coherent(4.0)
 CFG_8_HALF = DetectorConfig(N=8, eta=0.5)
@@ -82,6 +84,36 @@ class TestStreamVersion:
                            trials=5000, seed=2026)
         text = ",".join(map(str, samples.clicks.tolist()))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_NO_DARK
+
+
+class TestOccupancyCount:
+    """The word-packed count of occupied detectors against a boolean scatter."""
+
+    @pytest.mark.parametrize("N", [1, 8, 63, 64, 65, 128, 1024])
+    def test_matches_boolean_scatter(self, N):
+        rng = np.random.default_rng(N)
+        size = 300
+        # About a third of the trials get no photon at all; some get many
+        # more photons than detectors.
+        survivors = rng.choice([0, 1, 2, 5, 3 * N], size=size, p=[0.35, 0.2, 0.2, 0.2, 0.05])
+        survivors[-1] = 0
+        trial_ids = np.repeat(np.arange(size), survivors)
+        landed = rng.integers(0, N, size=trial_ids.size)
+        got = _count_occupied(trial_ids, landed, size, N)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(
+            got, oracles.occupied_by_scatter(trial_ids, landed, size, N)
+        )
+        assert not got[survivors == 0].any()
+
+    def test_every_detector_of_every_word(self):
+        # One trial per detector of a 130-detector array hit on that detector
+        # alone, then one trial with all of them hit.
+        N = 130
+        trial_ids = np.concatenate([np.arange(N), np.full(N, N)])
+        landed = np.concatenate([np.arange(N), np.arange(N)])
+        got = _count_occupied(trial_ids, landed, N + 1, N)
+        np.testing.assert_array_equal(got, [1] * N + [N])
 
 
 class TestPhysicalModel:
