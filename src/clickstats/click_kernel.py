@@ -2,16 +2,19 @@
 
 An array of N identical on-off detectors splits the field uniformly; each
 detector fires on one or more absorbed photons (efficiency eta) or on a dark
-event (per-detector no-dark-click factor exp(-nu)). Two independent routes
-compute the click-number distribution c_0..c_N:
+event (per-detector no-dark-click factor exp(-nu)). The click law is
+c = G(T) b, with G the state's generating function, T the per-photon step of
+``_occupancy_step`` and b = Binomial(N, 1 - exp(-nu)) the law of dark clicks
+alone: dark counts act as lossless Poisson(nu) photons per detector, which
+commute with T, so b is the start vector of every chain. Two routes:
 
-- Path A ("generating_function"): inclusion-exclusion over silent detector
-  sets, c_k = C(N,k) sum_j C(k,j) (-1)^j exp(-nu(N-k+j)) G(1 - eta(N-k+j)/N).
-  Fast and closed-form friendly, but the alternating sum cancels
-  catastrophically for large N at small eta.
-- Path B ("occupancy_dp"): a per-photon occupancy recurrence (balls into
-  bins with per-ball survival eta) followed by a dark-count convolution.
-  All-nonnegative arithmetic; serves as the stable reference and fallback.
+- Path A ("generating_function"), leaf by leaf: exact forms for coherent
+  (a binomial law), thermal (one bidiagonal solve) and Fock (n chain steps)
+  light; squeezed vacuum and explicit laws take the inclusion-exclusion sum
+  c_k = C(N,k) sum_j C(k,j) (-1)^j exp(-nu(N-k+j)) G(1 - eta(N-k+j)/N),
+  which cancels catastrophically for large N at small eta.
+- Path B ("occupancy_dp"): the chain from b weighted by the truncated
+  photon-number law. All-nonnegative; the reference and the fallback.
 
 Q_B measures the click variance against the binomial law with the same mean:
 Q_B = N <(dc)^2> / (<c>(N - <c>)) - 1. It vanishes for every binomial click
@@ -34,6 +37,7 @@ from .errors import DegenerateMean, NumericalInstability, ValidationError
 from .laws import binomial_pmf, law_moments
 from .states import (
     DEFAULT_TAIL_TOLERANCE,
+    MAX_NMAX,
     PhotonNumberDistribution,
     StateSpec,
     _gf,
@@ -169,30 +173,6 @@ def _alternating_sum(g: np.ndarray, N: int) -> np.ndarray:
     return raw
 
 
-def _path_a(spec: StateSpec, config: DetectorConfig) -> np.ndarray:
-    """Inclusion-exclusion click distribution; may cancel badly for large N.
-
-    The click law is linear in the state, so mixtures evaluate leaf by leaf.
-    For a coherent leaf the alternating sum collapses exactly to the
-    binomial law with p = 1 - exp(-nu - eta mu / N); using the collapsed
-    form removes all cancellation for the one family where the result is
-    analytically binomial.
-    """
-    N = config.N
-    raw = np.zeros(N + 1)
-    for weight, leaf in spec.flattened():
-        if weight == 0.0:
-            continue
-        if leaf.kind == "coherent":
-            p = -math.expm1(-config.nu - config.eta * leaf.mean_photons / N)
-            raw += weight * binomial_pmf(N, p)
-        else:
-            raw += weight * _alternating_sum(
-                _silent_set_factors(leaf, config), N
-            )
-    return raw
-
-
 def _occupancy_step(occ: np.ndarray, N: int, eta: float) -> np.ndarray:
     """Add one photon that survives with probability eta and lands uniformly."""
     ks = np.arange(occ.size)
@@ -201,29 +181,48 @@ def _occupancy_step(occ: np.ndarray, N: int, eta: float) -> np.ndarray:
     return new
 
 
-def _dark_convolution(occ_probs: np.ndarray, N: int, nu: float) -> np.ndarray:
-    """Add independent dark clicks on the unoccupied detectors.
+def _thermal_solve(mu: float, b: np.ndarray, N: int, eta: float) -> np.ndarray:
+    """G(T) b for thermal light: solve ((1 + mu) I - mu T) c = b.
 
-    One product with the transition matrix T[k, k+m] = Binomial(N-k, d) at m,
-    d = 1 - exp(-nu), over the rows k up to the largest occupied count K.
-    Row K is binomial_pmf(N-K, d); each row above follows by the Pascal
-    recurrence b_{n+1}(m) = b_n(m) (1-d) + b_n(m-1) d, whose terms are all
-    nonnegative. The rounded weights 1-d and d need not sum to exactly 1,
-    and the recurrence would compound that drift over K steps, so each row
-    is scaled back to unit mass (by scaling the weight it is applied with).
+    Forward substitution c_k = (b_k + m (N-k+1) c_{k-1}) / (1 + m (N-k)),
+    m = mu eta / N; every term is nonnegative and nothing is truncated.
     """
-    if nu == 0.0:
-        return occ_probs.copy()
-    d = -math.expm1(-nu)
-    top = int(np.flatnonzero(occ_probs)[-1])
-    T = np.zeros((top + 1, N + 1))
-    T[top, top:] = binomial_pmf(N - top, d)
-    for k in range(top, 0, -1):
-        T[k - 1, k - 1 : N] = (1.0 - d) * T[k, k:]
-        T[k - 1, k:] += d * T[k, k:]
-    # einsum keeps this memory-bound product in one thread; a threaded BLAS
-    # matrix-vector call gains nothing on it and can stall on a busy host.
-    return np.einsum("k,kj->j", occ_probs[: top + 1] / T.sum(axis=1), T)
+    m = mu * eta / N
+    out, prev = [], 0.0
+    for k, bk in enumerate(b.tolist()):
+        prev = (bk + m * (N - k + 1) * prev) / (1.0 + m * (N - k))
+        out.append(prev)
+    return np.array(out)
+
+
+def _path_a(spec: StateSpec, config: DetectorConfig) -> np.ndarray:
+    """Generating-function click distribution, c = G(T) b leaf by leaf.
+
+    The click law is linear in the state. Coherent, thermal and Fock leaves
+    (n up to MAX_NMAX) have exact forms free of cancellation: the binomial
+    law with p = 1 - exp(-nu - eta mu / N), the thermal solve, and n chain
+    steps from b. Other leaves take the inclusion-exclusion sum, which may
+    cancel badly for large N.
+    """
+    N, eta = config.N, config.eta
+    b = binomial_pmf(N, -math.expm1(-config.nu))  # dark clicks alone
+    raw = np.zeros(N + 1)
+    for weight, leaf in spec.flattened():
+        if weight == 0.0:
+            continue
+        if leaf.kind == "coherent":
+            p = -math.expm1(-config.nu - eta * leaf.mean_photons / N)
+            law = binomial_pmf(N, p)
+        elif leaf.kind == "thermal":
+            law = _thermal_solve(leaf.mean_photons, b, N, eta)
+        elif leaf.kind == "fock" and leaf.n <= MAX_NMAX:
+            law = b
+            for _ in range(leaf.n):
+                law = _occupancy_step(law, N, eta)
+        else:
+            law = _alternating_sum(_silent_set_factors(leaf, config), N)
+        raw += weight * law
+    return raw
 
 
 def _path_b(
@@ -233,19 +232,18 @@ def _path_b(
 ) -> np.ndarray:
     """Occupancy-recurrence click distribution; all terms nonnegative.
 
-    The binomial thinning over surviving photons is folded into the
-    per-photon step: each photon independently stays undetected with
-    probability 1 - eta or occupies a uniformly chosen detector.
+    The chain starts from the dark-count law b; each photon independently
+    stays undetected with probability 1 - eta or occupies a uniformly chosen
+    detector.
     """
     pnd = make_distribution(spec, tail_tolerance)
     N, eta = config.N, config.eta
-    occ = np.zeros(N + 1)
-    occ[0] = 1.0
+    occ = binomial_pmf(N, -math.expm1(-config.nu))  # dark clicks alone
     acc = pnd.probs[0] * occ
     for n in range(1, pnd.probs.size):
         occ = _occupancy_step(occ, N, eta)
         acc = acc + pnd.probs[n] * occ
-    return _dark_convolution(acc, N, config.nu)
+    return acc
 
 
 def _looks_valid(raw: np.ndarray, floor: float = CLAMP_TOL) -> bool:

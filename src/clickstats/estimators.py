@@ -32,6 +32,7 @@ from .errors import (
     DegenerateMean,
     InsufficientData,
     InvalidSample,
+    ValidationError,
 )
 from .laws import law_moments
 from .simulator import ClickSampleSet, check_workers
@@ -88,9 +89,18 @@ def _clicks_array(samples) -> tuple[np.ndarray, int | None]:
 
 
 def empirical_frequencies(samples: ClickSampleSet) -> ClickDistribution:
-    """Observed click frequencies as an exact distribution over 0..N."""
+    """Observed click frequencies as an exact distribution over 0..N.
+
+    A click distribution holds N + 1 entries, so N is capped at
+    MAX_DETECTORS, as for every exact law; a record from a file may name any
+    N below 2^63.
+    """
     if samples.trials < 1:
         raise InsufficientData("at least one trial is required")
+    if samples.N > MAX_DETECTORS:
+        raise ValidationError(
+            f"N={samples.N} exceeds {MAX_DETECTORS}, the largest click distribution"
+        )
     clicks = samples.clicks
     if clicks.min(initial=0) < 0 or clicks.max(initial=0) > samples.N:
         raise InvalidSample(

@@ -60,7 +60,10 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """
     diff = x - m
     v = diff / (x + m)
-    out = x * np.log1p(diff / m) - diff
+    # A subnormal m overflows diff / m; the deviance is then +inf, and the
+    # probability built from it, whose true value is subnormal, comes out 0.
+    with np.errstate(over="ignore"):
+        out = x * np.log1p(diff / m) - diff
     near = np.abs(v) < _SERIES_V
     if near.any():
         vn = v[near]

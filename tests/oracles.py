@@ -1,8 +1,9 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive: exhaustive enumeration, exact
-rational arithmetic, closed-form factorial-moment identities, and a sample
-record reader that converts one line at a time. None of it shares code with
+rational arithmetic, closed-form factorial-moment identities, click laws in
+high-precision mpmath, and a sample record reader that converts one line at
+a time. None of it shares code with
 the evaluation paths under test; the reader only builds its result from the
 package's data types and state parser.
 """
@@ -12,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -107,9 +109,9 @@ def binomial_row(n: int, d: float) -> np.ndarray:
 def dark_convolution_by_rows(occ_probs, N: int, nu: float) -> np.ndarray:
     """Occupied-detector law convolved with dark clicks, one binomial row per k.
 
-    The per-k loop the library used before its dark step became a single
-    matrix product: k occupied detectors leave N-k free ones, each firing
-    with probability d = 1 - exp(-nu).
+    The per-k loop the library once used as its dark step: k occupied
+    detectors leave N-k free ones, each firing with probability
+    d = 1 - exp(-nu).
     """
     d = -math.expm1(-nu)
     out = np.zeros(N + 1)
@@ -117,6 +119,75 @@ def dark_convolution_by_rows(occ_probs, N: int, nu: float) -> np.ndarray:
         if weight:
             out[k:] += weight * binomial_row(N - k, d)
     return out
+
+
+def gf_mp(spec, x):
+    """G(x) of a coherent, thermal or Fock state, or a mixture of them, in mpmath."""
+    if spec.kind == "coherent":
+        return mpmath.exp(-mpmath.mpf(spec.mean_photons) * (1 - x))
+    if spec.kind == "thermal":
+        return 1 / (1 + mpmath.mpf(spec.mean_photons) * (1 - x))
+    if spec.kind == "fock":
+        return x**spec.n
+    if spec.kind == "mixture":
+        return mpmath.fsum(mpmath.mpf(w) * gf_mp(leaf, x) for w, leaf in spec.components)
+    raise ValueError(f"no mpmath generating function for {spec.kind!r}")
+
+
+def clicks_by_inclusion_exclusion_mp(spec, N: int, eta: float, nu: float) -> list:
+    """c_k = C(N,k) sum_j C(k,j) (-1)^j e^{-nu s} G(1 - eta s/N), s = N-k+j.
+
+    Evaluated at the caller's mpmath precision: the terms reach 3^N, so the
+    alternating sum keeps about dps - N log10(3) digits.
+    """
+    eta, nu = mpmath.mpf(eta), mpmath.mpf(nu)
+    g = [mpmath.exp(-nu * s) * gf_mp(spec, 1 - eta * s / N) for s in range(N + 1)]
+    return [
+        math.comb(N, k)
+        * mpmath.fsum((-1) ** j * math.comb(k, j) * g[N - k + j] for j in range(k + 1))
+        for k in range(N + 1)
+    ]
+
+
+def _binomial_mp(n: int, p) -> list:
+    return [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+
+
+def leaf_clicks_mp(spec, N: int, eta: float, nu: float) -> list:
+    """Click law of a coherent, thermal or Fock state (or a mixture), in mpmath.
+
+    Coherent light gives Binomial(N, 1 - e^{-nu - eta mu/N}). Thermal light
+    solves ((1+mu) I - mu T) c = b by forward substitution, b the dark-count
+    binomial. A Fock state sums over j occupied detectors, the occupancy law
+    sum_m Binomial(n, eta)(m) C(N,j) j! S(m,j) / N^m, with dark clicks on the
+    N - j others.
+    """
+    eta, nu = mpmath.mpf(eta), mpmath.mpf(nu)
+    d = 1 - mpmath.exp(-nu)
+    if spec.kind == "mixture":
+        laws = [(w, leaf_clicks_mp(leaf, N, eta, nu)) for w, leaf in spec.components]
+        return [mpmath.fsum(mpmath.mpf(w) * law[k] for w, law in laws) for k in range(N + 1)]
+    if spec.kind == "coherent":
+        return _binomial_mp(N, 1 - mpmath.exp(-nu - eta * mpmath.mpf(spec.mean_photons) / N))
+    if spec.kind == "thermal":
+        m = mpmath.mpf(spec.mean_photons) * eta / N
+        out, prev = [], mpmath.mpf(0)
+        for k, bk in enumerate(_binomial_mp(N, d)):
+            prev = (bk + m * (N - k + 1) * prev) / (1 + m * (N - k))
+            out.append(prev)
+        return out
+    if spec.kind == "fock":
+        n = spec.n
+        survivors = _binomial_mp(n, eta)
+        out = [mpmath.mpf(0)] * (N + 1)
+        for j in range(min(n, N) + 1):
+            occupied = math.comb(N, j) * math.factorial(j) * mpmath.fsum(
+                survivors[m] * stirling2(m, j) / mpmath.mpf(N) ** m for m in range(j, n + 1)
+            )
+            for extra, weight in enumerate(_binomial_mp(N - j, d)):
+                out[j + extra] += occupied * weight
+        return out
+    raise ValueError(f"no mpmath click law for {spec.kind!r}")
 
 
 def occupied_by_scatter(trial_ids, landed, size: int, N: int) -> np.ndarray:

@@ -98,7 +98,7 @@ class TestDistVerb:
 
     def test_forced_gf_instability_is_domain_error(self, capsys):
         code = main([
-            "dist", "--state", '{"kind":"thermal","mean_photons":1.0}',
+            "dist", "--state", '{"kind":"squeezed_vacuum","r":0.8}',
             "--detectors", "64", "--eta", "0.05", "--method", "gf",
         ])
         assert code == 1
@@ -376,7 +376,7 @@ class TestLogSpaceOverflow:
 
     @pytest.mark.parametrize("N", ["653", "1024"])
     def test_auto_report_is_the_occupancy_report(self, N):
-        state = '{"kind":"thermal","mean_photons":2.0}'
+        state = '{"kind":"squeezed_vacuum","r":0.8}'
         auto = _fresh_python("-m", "clickstats", "qb", "--state", state, "--detectors", N)
         dp = _fresh_python("-m", "clickstats", "qb", "--state", state, "--detectors", N,
                            "--method", "dp")
@@ -388,7 +388,7 @@ class TestLogSpaceOverflow:
     @pytest.mark.parametrize("N", ["653", "1024"])
     def test_forced_gf_is_a_domain_error(self, N):
         proc = _fresh_python(
-            "-m", "clickstats", "dist", "--state", '{"kind":"thermal","mean_photons":2.0}',
+            "-m", "clickstats", "dist", "--state", '{"kind":"squeezed_vacuum","r":0.8}',
             "--detectors", N, "--method", "gf",
         )
         assert proc.returncode == 1, proc.stderr
@@ -530,6 +530,24 @@ class TestMomentAccuracy:
         rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
         assert rows["click_variance"] == "0.918930575821"
         assert abs(float(rows["q_b"])) <= 1e-14
+
+
+class TestThermalAnchor:
+    """thermal(2) on 20 perfect detectors, whose exact values are known:
+    c_19 = 3.32833916042e-07, q_b = 19/12 and click_mean = 20/11."""
+
+    THERMAL2 = '{"kind":"thermal","mean_photons":2.0}'
+
+    def test_dist_entry(self, capsys):
+        assert main(["dist", "--state", self.THERMAL2, "--detectors", "20"]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert rows["19"] == "3.32833916042e-07"
+
+    def test_qb_report(self, capsys):
+        assert main(["qb", "--state", self.THERMAL2, "--detectors", "20"]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert rows["q_b"] == "1.58333333333"
+        assert rows["click_mean"] == "1.81818181818"
 
 
 class TestNoScipy:

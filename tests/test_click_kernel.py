@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,12 +21,14 @@ from clickstats import (
     occupancy_distribution,
     qb_parameter,
 )
-from clickstats.click_kernel import _path_a, _path_b
+from clickstats import click_kernel
+from clickstats.click_kernel import _occupancy_step, _path_a, _path_b
 from clickstats.errors import (
     DegenerateMean,
     NumericalInstability,
     ValidationError,
 )
+from clickstats.states import MAX_NMAX
 
 GRID_STATES = [
     StateSpec.coherent(0.5),
@@ -190,14 +193,14 @@ class TestInstabilityHandling:
     def test_forced_path_a_raises_when_it_explodes(self):
         with pytest.raises(NumericalInstability):
             click_distribution(
-                StateSpec.thermal(1.0),
+                StateSpec.squeezed_vacuum(0.8),
                 DetectorConfig(N=64, eta=0.05),
                 "generating_function",
             )
 
     def test_auto_falls_back_to_occupancy(self):
         cfg = DetectorConfig(N=64, eta=0.05)
-        spec = StateSpec.thermal(1.0)
+        spec = StateSpec.squeezed_vacuum(0.8)
         auto = click_distribution(spec, cfg, "auto")
         dp = click_distribution(spec, cfg, "occupancy_dp")
         np.testing.assert_array_equal(auto.probs, dp.probs)
@@ -212,6 +215,97 @@ class TestInstabilityHandling:
     def test_bad_method_name(self):
         with pytest.raises(ValueError):
             click_distribution(StateSpec.fock(1), DetectorConfig(N=2, eta=1.0), "exact")
+
+
+EXACT_LEAF_STATES = [
+    StateSpec.thermal(2.0),
+    StateSpec.thermal(0.05),
+    StateSpec.fock(1),
+    StateSpec.fock(6),
+    StateSpec.mixture([(0.5, StateSpec.fock(2)), (0.5, StateSpec.thermal(0.5))]),
+    StateSpec.mixture([
+        (0.3, StateSpec.thermal(4.0)),
+        (0.3, StateSpec.fock(3)),
+        (0.4, StateSpec.coherent(2.0)),
+    ]),
+]
+EXACT_LEAF_CONFIGS = [
+    (1, 0.6, 0.05), (8, 1.0, 0.0), (20, 1.0, 0.0), (64, 0.05, 0.0),
+    (64, 0.7, 0.05), (128, 0.3, 2.0), (128, 0.0, 0.0),
+    (1024, 0.7, 0.05), (1024, 1.0, 0.0),
+]
+
+
+def _exact_law(spec, N, eta, nu):
+    """mpmath click law: inclusion-exclusion up to N = 128, leaf forms above."""
+    if N <= 128:
+        # The terms reach 3^128 ~ 1e61; 420 digits leave every entry down
+        # to 1e-350 exact.
+        with mpmath.workdps(420):
+            return oracles.clicks_by_inclusion_exclusion_mp(spec, N, eta, nu)
+    with mpmath.workdps(40):
+        return oracles.leaf_clicks_mp(spec, N, eta, nu)
+
+
+class TestExactLeafRoutes:
+    """Coherent, thermal and Fock leaves evaluate c = G(T) b exactly: every
+    entry above 1e-300 to 12 digits, and entries whose exact value lies
+    below the smallest subnormal come out as exactly 0."""
+
+    @pytest.mark.parametrize("spec", EXACT_LEAF_STATES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("N,eta,nu", EXACT_LEAF_CONFIGS)
+    def test_every_entry_against_mpmath(self, spec, N, eta, nu):
+        exact = _exact_law(spec, N, eta, nu)
+        cfg = DetectorConfig(N=N, eta=eta, nu=nu)
+        for method in ("auto", "generating_function"):
+            got = click_distribution(spec, cfg, method).probs
+            for k, (g, e) in enumerate(zip(got.tolist(), exact)):
+                if abs(e) < 1e-330:
+                    assert g == 0.0, (method, k, g, e)
+                elif e > 1e-300:
+                    assert abs(g - e) <= 5e-12 * e, (method, k, g, e)
+                else:
+                    assert abs(g - e) <= 1e-300, (method, k, g, e)
+
+    @pytest.mark.parametrize("spec", GRID_STATES + EXACT_LEAF_STATES)
+    @pytest.mark.parametrize("N", [1, 20, 256])
+    def test_dark_free_occupancy_law_starts_from_e0(self, spec, N):
+        # Without dark counts the start vector is e0, so the occupancy route
+        # is the same chain, bit for bit, as one started from e0 by hand.
+        pnd = make_distribution(spec)
+        occ = np.zeros(N + 1)
+        occ[0] = 1.0
+        acc = pnd.probs[0] * occ
+        for p in pnd.probs[1:]:
+            occ = _occupancy_step(occ, N, 0.7)
+            acc = acc + p * occ
+        got = click_distribution(spec, DetectorConfig(N=N, eta=0.7), "occupancy_dp")
+        np.testing.assert_array_equal(got.probs, acc)
+
+    def test_fock_beyond_the_chain_cap_takes_inclusion_exclusion(self, monkeypatch):
+        # MAX_NMAX + 1 chain steps would cost photons times N; the sum costs N^2.
+        def refuse(occ, N, eta):
+            raise AssertionError("occupancy chain reached")
+
+        monkeypatch.setattr(click_kernel, "_occupancy_step", refuse)
+        spec = StateSpec.fock(MAX_NMAX + 1)
+        got = click_distribution(spec, DetectorConfig(N=8, eta=0.001, nu=0.05)).probs
+        with mpmath.workdps(40):
+            exact = oracles.clicks_by_inclusion_exclusion_mp(spec, 8, 0.001, 0.05)
+        # The method-agreement scale: the alternating sum is not exact here.
+        np.testing.assert_allclose(got, [float(e) for e in exact], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("N", [1, 64, 1024])
+    @pytest.mark.parametrize("nu", [0.0, 0.05])
+    def test_never_reach_inclusion_exclusion(self, monkeypatch, N, nu):
+        def refuse(g, N):
+            raise AssertionError("inclusion-exclusion sum reached")
+
+        monkeypatch.setattr(click_kernel, "_alternating_sum", refuse)
+        cfg = DetectorConfig(N=N, eta=0.3, nu=nu)
+        for spec in EXACT_LEAF_STATES + [StateSpec.coherent(3.0), StateSpec.fock(0)]:
+            for method in ("auto", "generating_function"):
+                click_distribution(spec, cfg, method)
 
 
 class TestBinomialReference:

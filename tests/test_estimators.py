@@ -1,8 +1,14 @@
 """Tests for empirical frequencies, plug-in estimates and the bootstrap."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import clickstats
 from clickstats import (
     ClickSampleSet,
     DetectorConfig,
@@ -50,6 +56,28 @@ class TestEmpiricalFrequencies:
         clicks = rng.integers(0, 9, size=1000)
         dist = empirical_frequencies(sample_set(clicks, N=8))
         assert abs(dist.probs.sum() - 1.0) <= 1e-12
+
+    def test_huge_detector_count_rejected_under_a_3gb_address_space(self, tmp_path):
+        # A dense bincount over 0..N would allocate 37 GiB here.
+        sample_file = tmp_path / "s.csv"
+        sample_file.write_text("# N=5000000000\nclicks\n0\n5000000000\n1\n")
+        env = dict(os.environ)
+        src = str(Path(clickstats.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from clickstats import empirical_frequencies\n"
+            "from clickstats.records import read_samples\n"
+            "from clickstats.errors import ValidationError\n"
+            f"samples = read_samples({str(sample_file)!r})\n"
+            "try:\n"
+            "    empirical_frequencies(samples)\n"
+            "except ValidationError as exc:\n"
+            "    print('ValidationError', exc)\n"
+        )], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("ValidationError")
 
 
 class TestQbEstimate:

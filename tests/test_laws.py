@@ -1,14 +1,15 @@
-"""Binomial and Poisson laws, the Poisson cutoff and the dark-count step,
-each checked against an independent reference: mpmath at 40 or more
+"""Binomial and Poisson laws, the Poisson cutoff and the dark-count start
+vector, each checked against an independent reference: mpmath at 40 or more
 digits, or the per-row dark-count loop in ``oracles``."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from clickstats import click_kernel, make_distribution
+from clickstats import DetectorConfig, click_kernel, make_distribution
 from clickstats.laws import _bd0, binomial_pmf, poisson_pmf
 from clickstats.states import StateSpec
 
@@ -36,6 +37,18 @@ def test_binomial_pmf_against_mpmath(N, p):
         P = mpmath.mpf(p)
         ref = [mpmath.binomial(N, k) * P**k * (1 - P) ** (N - k) for k in range(N + 1)]
     _assert_close(binomial_pmf(N, p), ref)
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-310])
+def test_binomial_pmf_with_a_subnormal_mean_warns_nothing(p):
+    # Every chain starts from binomial_pmf(N, 1 - e^-nu), so a subnormal nu
+    # reaches it on the default route; a numpy warning would reach stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = binomial_pmf(1024, p)
+        poisson = poisson_pmf(p, 4)
+    assert probs[0] == 1.0 and probs[1:].max() <= 1e-300
+    assert poisson[0] == 1.0 and poisson[1:].max() <= 1e-300
 
 
 @pytest.mark.parametrize("mu", [1e-7, 1e-3, 0.5, 4.0, 37.5, 300.0, 999.5, 1000.0])
@@ -72,23 +85,29 @@ def test_coherent_tail_bound_is_a_true_upper_bound(mu, tol):
     assert tail <= pnd.tail_bound <= tol
 
 
+# Photon laws of at most about 20 entries keep the per-row oracle cheap at
+# N=1024: one truncated law of each kind, and two with no truncation tail.
+DARK_SPECS = [
+    StateSpec.squeezed_vacuum(0.3),
+    StateSpec.thermal(0.2),
+    StateSpec.fock(3),
+    StateSpec.explicit([0.1, 0.2, 0.3, 0.25, 0.15]),
+]
+
+
 @pytest.mark.parametrize("N", [1, 8, 64, 256, 1024])
 @pytest.mark.parametrize("nu", [1e-4, 0.05, 2.0])
 def test_dark_step_matches_per_row_convolution(N, nu):
-    rng = np.random.default_rng(N)
-    # At most 40 occupied counts keep the per-row oracle cheap at N=1024.
-    occ = np.zeros(N + 1)
-    support = rng.choice(N + 1, size=min(N + 1, 40), replace=False)
-    occ[support] = rng.random(support.size) ** 4
-    occ /= occ.sum()
-    got = click_kernel._dark_convolution(occ, N, nu)
-    _assert_close(got, dark_convolution_by_rows(occ, N, nu))
+    # Dark counts enter as the occupancy chain's start vector; the law must
+    # equal the dark-free law with dark clicks convolved in afterwards.
+    for spec in DARK_SPECS:
+        bare = click_kernel._path_b(spec, DetectorConfig(N=N, eta=0.7))
+        got = click_kernel._path_b(spec, DetectorConfig(N=N, eta=0.7, nu=nu))
+        _assert_close(got, dark_convolution_by_rows(bare, N, nu))
 
 
 def test_dark_step_keeps_unit_mass_at_n1024():
-    # The mass sits on rows that lie N recurrence steps below the last one.
-    occ = np.zeros(1025)
-    occ[:4] = [0.008, 0.02, 0.3, 0.672 - 1e-9]
-    occ[-1] = 1e-9
-    out = click_kernel._dark_convolution(occ, 1024, 0.03)
-    assert abs(math.fsum(out) - 1.0) <= 1e-15
+    # Neither law has a truncation tail, so any mass lost is the chain's.
+    for spec in (StateSpec.fock(3), StateSpec.explicit([0.008, 0.02, 0.3, 0.672])):
+        out = click_kernel._path_b(spec, DetectorConfig(N=1024, eta=0.7, nu=0.03))
+        assert abs(math.fsum(out) - 1.0) <= 1e-15
