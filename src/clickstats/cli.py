@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -17,11 +18,11 @@ import numpy as np
 from . import records
 from .click_kernel import (
     DetectorConfig,
-    _qb_from_moments,
-    _qm_from_moments,
     click_distribution,
     click_moments,
+    degenerate_mean,
     nonclassicality_report,
+    q_from_moments,
 )
 from .errors import DomainError, ParseError, ValidationError
 from .estimators import mandel_q_estimate, qb_estimate
@@ -131,6 +132,13 @@ def _emit(text: str, out: str | None) -> None:
 def _sweep_grid(args) -> np.ndarray:
     if args.steps < 1:
         raise ValidationError("--steps must be a positive integer")
+    for flag, end in (("--from", args.sweep_from), ("--to", args.sweep_to)):
+        if not math.isfinite(end):
+            raise ValidationError(f"{flag} must be a finite number, got {end!r}")
+    if not math.isfinite(args.sweep_to - args.sweep_from):
+        raise ValidationError(
+            f"--to minus --from overflows a float: {args.sweep_from!r} to {args.sweep_to!r}"
+        )
     if args.steps == 1:
         if args.sweep_from != args.sweep_to:
             raise ValidationError("--steps 1 requires --from and --to to coincide")
@@ -170,20 +178,24 @@ def run_sweep(
     grid: np.ndarray,
     method: str = "auto",
 ) -> list[tuple[float, float, float, float, float]]:
-    """One row per grid point: (axis value, Q_B, Q_M on clicks, mean, variance)."""
-    rows = []
-    for value in grid:
-        pt_spec, pt_config = _sweep_point(spec, config, axis, float(value))
-        dist = click_distribution(pt_spec, pt_config, method)
-        mean, variance = click_moments(dist)
-        rows.append((
-            float(value),
-            _qb_from_moments(mean, variance, pt_config.N),
-            _qm_from_moments(mean, variance),
-            mean,
-            variance,
-        ))
-    return rows
+    """One row per grid point: (axis value, Q_B, Q_M on clicks, mean, variance).
+
+    Every grid point is checked before any law is evaluated, and a
+    degenerate mean is reported, at the first point that has one, once every
+    law is evaluated.
+    """
+    values = [float(value) for value in grid]
+    points = [_sweep_point(spec, config, axis, value) for value in values]
+    moments = [click_moments(click_distribution(s, c, method)) for s, c in points]
+    detectors = [c.N for _, c in points]
+    mean, variance = np.array(moments).reshape(-1, 2).T
+    q_b = q_from_moments(mean, variance, "q_b", np.array(detectors))
+    degenerate = np.flatnonzero(np.isnan(q_b))
+    if degenerate.size:
+        first = int(degenerate[0])
+        raise degenerate_mean(moments[first][0], detectors[first])
+    q_m = q_from_moments(mean, variance, "q_m")
+    return list(zip(values, q_b.tolist(), q_m.tolist(), mean.tolist(), variance.tolist()))
 
 
 def _run(args) -> int:

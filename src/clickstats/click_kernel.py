@@ -5,23 +5,29 @@ detector fires on one or more absorbed photons (efficiency eta) or on a dark
 event (per-detector no-dark-click factor exp(-nu)). The click law is
 c = G(T) b, with G the state's generating function, T the per-photon step of
 ``_occupancy_step`` and b = Binomial(N, 1 - exp(-nu)) the law of dark clicks
-alone: dark counts act as lossless Poisson(nu) photons per detector, which
-commute with T, so b is the start vector of every chain. Two routes:
+alone (``_dark_law``): dark counts act as lossless Poisson(nu) photons per
+detector, which commute with T, so b is the start vector of every chain.
+``_chain`` runs that chain, sum_n w_n T^n b, for any photon-number weights.
+Two routes evaluate c:
 
-- Path A ("generating_function"), leaf by leaf: exact forms for coherent
-  (a binomial law), thermal (one bidiagonal solve) and Fock (n chain steps)
-  light; squeezed vacuum and explicit laws take the inclusion-exclusion sum
+- Path A ("generating_function"), leaf by leaf (``_leaf_law``): exact forms
+  for coherent (a binomial law), thermal (one bidiagonal solve) and Fock
+  (the chain over a one-hot law) light; squeezed vacuum and explicit laws
+  take the inclusion-exclusion sum
   c_k = C(N,k) sum_j C(k,j) (-1)^j exp(-nu(N-k+j)) G(1 - eta(N-k+j)/N),
   which cancels catastrophically for large N at small eta.
-- Path B ("occupancy_dp"): the chain from b weighted by the truncated
-  photon-number law. All-nonnegative; the reference and the fallback.
+- Path B ("occupancy_dp"): the chain weighted by the truncated photon-number
+  law. All-nonnegative; the reference and the fallback.
+
+``_ROUTES`` lists the paths each method tries in order; "auto" tries A, then
+B. The first law that passes the validity checks is returned.
 
 Q_B measures the click variance against the binomial law with the same mean:
 Q_B = N <(dc)^2> / (<c>(N - <c>)) - 1. It vanishes for every binomial click
 distribution, and a negative value certifies sub-binomial (nonclassical)
 light. Mandel's Q_M = <(dn)^2>/<n> - 1 is provided for comparison; applied
 to click data it goes negative even for coherent light, which is exactly the
-failure Q_B repairs.
+failure Q_B repairs. ``q_from_moments`` is the one rule for both.
 """
 
 from __future__ import annotations
@@ -29,14 +35,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateMean, NumericalInstability, ValidationError
 from .laws import binomial_pmf, law_moments
 from .states import (
-    DEFAULT_TAIL_TOLERANCE,
     MAX_NMAX,
     PhotonNumberDistribution,
     StateSpec,
@@ -58,8 +62,6 @@ DEGENERATE_MEAN_TOL = 1e-12
 # Above this N, binomial coefficients leave exact float range; switch to
 # log-space evaluation in Path A.
 LOG_SPACE_N = 60
-
-METHODS = ("generating_function", "occupancy_dp", "auto")
 
 
 @dataclass(frozen=True)
@@ -195,55 +197,62 @@ def _thermal_solve(mu: float, b: np.ndarray, N: int, eta: float) -> np.ndarray:
     return np.array(out)
 
 
-def _path_a(spec: StateSpec, config: DetectorConfig) -> np.ndarray:
-    """Generating-function click distribution, c = G(T) b leaf by leaf.
+def _dark_law(config: DetectorConfig) -> np.ndarray:
+    """b = Binomial(N, 1 - exp(-nu)), the click law of dark counts alone."""
+    return binomial_pmf(config.N, -math.expm1(-config.nu))
 
-    The click law is linear in the state. Coherent, thermal and Fock leaves
-    (n up to MAX_NMAX) have exact forms free of cancellation: the binomial
-    law with p = 1 - exp(-nu - eta mu / N), the thermal solve, and n chain
-    steps from b. Other leaves take the inclusion-exclusion sum, which may
-    cancel badly for large N.
+
+def _chain(weights, start: np.ndarray, N: int, eta: float) -> np.ndarray:
+    """sum_n w_n T^n start, with T the per-photon step ``_occupancy_step``.
+
+    A zero weight adds nothing (acc + 0 occ = acc), so it is skipped.
+    """
+    occ, acc = start, np.zeros(start.size)
+    for n, weight in enumerate(weights):
+        if n:
+            occ = _occupancy_step(occ, N, eta)
+        if weight:
+            acc = acc + weight * occ
+    return acc
+
+
+def _leaf_law(leaf: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.ndarray:
+    """G(T) b for one pure leaf.
+
+    Coherent, thermal and Fock leaves (n up to MAX_NMAX) have exact forms
+    free of cancellation: the binomial law with p = 1 - exp(-nu - eta mu / N),
+    the thermal solve, and the chain over the one-hot law of n. Other leaves
+    take the inclusion-exclusion sum, which may cancel badly for large N.
     """
     N, eta = config.N, config.eta
-    b = binomial_pmf(N, -math.expm1(-config.nu))  # dark clicks alone
-    raw = np.zeros(N + 1)
+    if leaf.kind == "coherent":
+        return binomial_pmf(N, -math.expm1(-config.nu - eta * leaf.mean_photons / N))
+    if leaf.kind == "thermal":
+        return _thermal_solve(leaf.mean_photons, b, N, eta)
+    if leaf.kind == "fock" and leaf.n <= MAX_NMAX:
+        return _chain([0.0] * leaf.n + [1.0], b, N, eta)
+    return _alternating_sum(_silent_set_factors(leaf, config), N)
+
+
+def _path_a(spec: StateSpec, config: DetectorConfig) -> np.ndarray:
+    """Generating-function click distribution: the click law is linear in the
+    state, so it is the weighted sum of the leaf laws."""
+    b = _dark_law(config)
+    raw = np.zeros(config.N + 1)
     for weight, leaf in spec.flattened():
-        if weight == 0.0:
-            continue
-        if leaf.kind == "coherent":
-            p = -math.expm1(-config.nu - eta * leaf.mean_photons / N)
-            law = binomial_pmf(N, p)
-        elif leaf.kind == "thermal":
-            law = _thermal_solve(leaf.mean_photons, b, N, eta)
-        elif leaf.kind == "fock" and leaf.n <= MAX_NMAX:
-            law = b
-            for _ in range(leaf.n):
-                law = _occupancy_step(law, N, eta)
-        else:
-            law = _alternating_sum(_silent_set_factors(leaf, config), N)
-        raw += weight * law
+        if weight:
+            raw += weight * _leaf_law(leaf, config, b)
     return raw
 
 
-def _path_b(
-    spec: StateSpec,
-    config: DetectorConfig,
-    tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
-) -> np.ndarray:
+def _path_b(spec: StateSpec, config: DetectorConfig) -> np.ndarray:
     """Occupancy-recurrence click distribution; all terms nonnegative.
 
     The chain starts from the dark-count law b; each photon independently
     stays undetected with probability 1 - eta or occupies a uniformly chosen
     detector.
     """
-    pnd = make_distribution(spec, tail_tolerance)
-    N, eta = config.N, config.eta
-    occ = binomial_pmf(N, -math.expm1(-config.nu))  # dark clicks alone
-    acc = pnd.probs[0] * occ
-    for n in range(1, pnd.probs.size):
-        occ = _occupancy_step(occ, N, eta)
-        acc = acc + pnd.probs[n] * occ
-    return acc
+    return _chain(make_distribution(spec).probs, _dark_law(config), config.N, config.eta)
 
 
 def _looks_valid(raw: np.ndarray, floor: float = CLAMP_TOL) -> bool:
@@ -252,6 +261,14 @@ def _looks_valid(raw: np.ndarray, floor: float = CLAMP_TOL) -> bool:
         and float(raw.min()) >= -floor
         and abs(float(raw.sum()) - 1.0) <= NORMALIZATION_TOL
     )
+
+
+# The paths each method tries in order, and how its failure is named.
+_ROUTES = {
+    "generating_function": ((_path_a,), "generating-function path"),
+    "occupancy_dp": ((_path_b,), "occupancy path"),
+    "auto": ((_path_a, _path_b), "both evaluation paths"),
+}
 
 
 def click_distribution(
@@ -266,45 +283,26 @@ def click_distribution(
     normalization by more than 1e-9. A requested route that fails its
     validity checks raises NumericalInstability.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if method not in _ROUTES:
+        raise ValueError(f"method must be one of {tuple(_ROUTES)}, got {method!r}")
     spec.validate()
-
-    if method == "generating_function":
-        # A forced Path A request tolerates round-off negatives up to the
-        # method-agreement scale of 1e-9 (clamped to zero), not only the
-        # stricter threshold that drives the auto fallback.
-        raw = _path_a(spec, config)
-        if not _looks_valid(raw, floor=NORMALIZATION_TOL):
-            raise NumericalInstability(
-                f"generating-function path failed validity checks at N={config.N}, "
-                f"eta={config.eta}, nu={config.nu}"
-            )
-        return ClickDistribution(config.N, np.clip(raw, 0.0, None))
-
-    if method == "occupancy_dp":
-        raw = _path_b(spec, config)
-        if not _looks_valid(raw):
-            raise NumericalInstability(
-                f"occupancy path failed validity checks at N={config.N}, "
-                f"eta={config.eta}, nu={config.nu}"
-            )
-        return ClickDistribution(config.N, raw)
-
-    raw = _path_a(spec, config)
-    if _looks_valid(raw):
-        return ClickDistribution(config.N, raw)
-    logger.debug(
-        "inclusion-exclusion path unstable at N=%d eta=%g nu=%g; using occupancy path",
-        config.N,
-        config.eta,
-        config.nu,
-    )
-    raw = _path_b(spec, config)
-    if _looks_valid(raw):
-        return ClickDistribution(config.N, raw)
+    paths, name = _ROUTES[method]
+    # A forced Path A tolerates round-off negatives up to the method-agreement
+    # scale of 1e-9, clamped to zero, not only the stricter threshold that
+    # drives the auto fallback.
+    forced_gf = method == "generating_function"
+    for path in paths:
+        raw = path(spec, config)
+        if _looks_valid(raw, NORMALIZATION_TOL if forced_gf else CLAMP_TOL):
+            if forced_gf:
+                np.clip(raw, 0.0, None, out=raw)
+            return ClickDistribution(config.N, raw)
+        logger.debug(
+            "%s failed validity checks at N=%d eta=%g nu=%g",
+            path.__name__, config.N, config.eta, config.nu,
+        )
     raise NumericalInstability(
-        f"both evaluation paths failed validity checks at N={config.N}, "
+        f"{name} failed validity checks at N={config.N}, "
         f"eta={config.eta}, nu={config.nu}"
     )
 
@@ -313,9 +311,9 @@ def occupancy_distribution(m: int, N: int) -> np.ndarray:
     """Distribution of the number of occupied bins after m uniform throws.
 
     Returns probabilities over k = 0..min(m, N). Equivalent to
-    C(N,k) k! S(m,k) / N^m with S the Stirling numbers of the second kind,
-    computed by the stable forward recurrence
-    O_{m+1}(k) = O_m(k) k/N + O_m(k-1) (N-k+1)/N.
+    C(N,k) k! S(m,k) / N^m with S the Stirling numbers of the second kind:
+    the occupancy chain at eta = 1 from k = 0, m steps long. No more than m
+    bins can be occupied, so the chain is cut to min(m, N) + 1 entries.
     """
     if m < 0 or m != int(m):
         raise ValueError(f"ball count must be a nonnegative integer, got {m!r}")
@@ -323,15 +321,8 @@ def occupancy_distribution(m: int, N: int) -> np.ndarray:
         raise ValueError(f"ball count {m} exceeds the supported maximum 4096")
     if N < 1 or N != int(N):
         raise ValueError(f"bin count must be a positive integer, got {N!r}")
-    size = min(m, N) + 1
-    occ = np.zeros(size)
-    occ[0] = 1.0
-    ks = np.arange(size)
-    for _ in range(m):
-        new = occ * ks / N
-        new[1:] += occ[:-1] * (N - ks[1:] + 1) / N
-        occ = new
-    return occ
+    m = int(m)
+    return _chain([0.0] * m + [1.0], np.eye(1, min(m, N) + 1)[0], N, 1.0)
 
 
 def binomial_reference(N: int, p: float) -> ClickDistribution:
@@ -351,18 +342,36 @@ def click_moments(dist: ClickDistribution) -> tuple[float, float]:
     return float(mean), float(variance)
 
 
-def _qb_from_moments(mean: float, variance: float, N: int) -> float:
-    if mean < DEGENERATE_MEAN_TOL or mean > N - DEGENERATE_MEAN_TOL:
-        raise DegenerateMean(
-            f"click mean {mean!r} is within {DEGENERATE_MEAN_TOL} of the boundary of [0, {N}]"
-        )
-    return N * variance / (mean * (N - mean)) - 1.0
+def q_from_moments(mean, variance, statistic: str, N=None):
+    """Q_B ("q_b", over N detectors) or Q_M ("q_m") from means and variances.
 
-
-def _qm_from_moments(mean: float, variance: float) -> float:
-    if mean < DEGENERATE_MEAN_TOL:
-        raise DegenerateMean(f"mean count {mean!r} below {DEGENERATE_MEAN_TOL}")
+    Elementwise over arrays. NaN where the statistic is undefined: a mean
+    below 1e-12, or for Q_B one within 1e-12 of N.
+    """
+    upper = N - DEGENERATE_MEAN_TOL if statistic == "q_b" else math.inf
+    # A degenerate mean turns into NaN before any division, so nothing warns;
+    # [()] turns a 0-d result into a numpy scalar, whose arithmetic is cheaper.
+    mean = np.where((mean >= DEGENERATE_MEAN_TOL) & (mean <= upper), mean, np.nan)[()]
+    if statistic == "q_b":
+        return N * variance / (mean * (N - mean)) - 1.0
     return variance / mean - 1.0
+
+
+def degenerate_mean(mean: float, N: int | None = None) -> DegenerateMean:
+    """The error for a mean at which Q_B (given N) or Q_M (N None) is undefined."""
+    if N is None:
+        return DegenerateMean(f"mean count {mean!r} below {DEGENERATE_MEAN_TOL}")
+    return DegenerateMean(
+        f"click mean {mean!r} is within {DEGENERATE_MEAN_TOL} of the boundary of [0, {N}]"
+    )
+
+
+def _q_value(mean: float, variance: float, statistic: str, N: int | None = None) -> float:
+    """One value of ``q_from_moments``; DegenerateMean where it is undefined."""
+    q = float(q_from_moments(mean, variance, statistic, N))
+    if math.isnan(q):
+        raise degenerate_mean(mean, N if statistic == "q_b" else None)
+    return q
 
 
 def qb_parameter(dist: ClickDistribution) -> float:
@@ -372,7 +381,7 @@ def qb_parameter(dist: ClickDistribution) -> float:
     law; negative only for sub-binomial (nonclassical) statistics. Undefined
     when the mean click number sits within 1e-12 of 0 or N.
     """
-    return _qb_from_moments(*click_moments(dist), dist.N)
+    return _q_value(*click_moments(dist), "q_b", dist.N)
 
 
 def _as_count_probs(dist) -> np.ndarray:
@@ -395,14 +404,11 @@ def mandel_q(dist) -> float:
     Q_M = -p), which is why Q_B exists.
     """
     mean, variance = law_moments(_as_count_probs(dist))
-    return _qm_from_moments(float(mean), float(variance))
+    return _q_value(float(mean), float(variance), "q_m")
 
 
 def nonclassicality_report(
-    spec: StateSpec,
-    config: DetectorConfig,
-    method: str = "auto",
-    tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
+    spec: StateSpec, config: DetectorConfig, method: str = "auto"
 ) -> NonclassicalityReport:
     """Q_B and Q_M (clicks and photons) for a state and detector array.
 
@@ -411,10 +417,10 @@ def nonclassicality_report(
     """
     dist = click_distribution(spec, config, method)
     mean, variance = click_moments(dist)
-    q_b = _qb_from_moments(mean, variance, config.N)
-    q_m_clicks = _qm_from_moments(mean, variance)
+    q_b = _q_value(mean, variance, "q_b", config.N)
+    q_m_clicks = _q_value(mean, variance, "q_m")
     try:
-        q_m_photons = mandel_q(make_distribution(spec, tail_tolerance))
+        q_m_photons = mandel_q(make_distribution(spec))
     except DegenerateMean:
         q_m_photons = None
     return NonclassicalityReport(

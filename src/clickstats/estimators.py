@@ -26,7 +26,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .click_kernel import DEGENERATE_MEAN_TOL, MAX_DETECTORS, ClickDistribution
+from .click_kernel import (
+    DEGENERATE_MEAN_TOL,
+    MAX_DETECTORS,
+    ClickDistribution,
+    q_from_moments,
+)
 from .errors import (
     AllResamplesDegenerate,
     DegenerateMean,
@@ -148,19 +153,7 @@ def _statistic(
     omitted). Entries whose sample mean is degenerate come out as NaN.
     """
     mean, variance = _sample_moments(counts, values, unbiased)
-    return _from_moments(mean, variance, statistic, N)
-
-
-def _from_moments(mean, variance, statistic: str, N: int | None):
-    """Q_B or Q_M from means and variances; NaN where the mean is degenerate."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if statistic == "q_b":
-            ok = (mean >= DEGENERATE_MEAN_TOL) & (mean <= N - DEGENERATE_MEAN_TOL)
-            value = N * variance / (mean * (N - mean)) - 1.0
-        else:
-            ok = mean >= DEGENERATE_MEAN_TOL
-            value = variance / mean - 1.0
-    return np.where(ok, value, np.nan)
+    return q_from_moments(mean, variance, statistic, N)
 
 
 @lru_cache(maxsize=1)
@@ -239,7 +232,7 @@ def bootstrap_ci(
     mean, variance = _replicate_moments(
         values.tobytes(), counts.tobytes(), seed, replicates
     )
-    scores = _from_moments(mean, variance, statistic, N)
+    scores = q_from_moments(mean, variance, statistic, N)
 
     kept = scores[~np.isnan(scores)]
     discarded = replicates - kept.size

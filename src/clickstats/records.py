@@ -10,9 +10,10 @@ data model.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from typing import Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,7 +23,12 @@ from .click_kernel import (
     DetectorConfig,
     NonclassicalityReport,
 )
-from .errors import InsufficientData, InvalidSample, ParseError, ValidationError
+from .errors import (
+    InsufficientData,
+    InvalidSample,
+    NumericalInstability,
+    ParseError,
+)
 from .estimators import EstimateReport
 from .simulator import ClickSampleSet
 from .states import parse_state_spec
@@ -116,14 +122,9 @@ def _parse_int(meta: dict[str, str], key: str) -> int:
 def _parse_clicks(rows: list[str], first_lineno: int) -> np.ndarray:
     """The click column: one integer per line, blank and ``#`` lines skipped.
 
-    A column with nothing else in it, as written here, parses in one numpy
-    call. Otherwise the skipped lines are dropped and the rest parsed in one
-    call again; the lines are walked one by one only to name a bad one.
+    The kept lines are parsed in one numpy call; they are walked one by one
+    only to name a bad one.
     """
-    try:
-        return np.array(rows, dtype=np.int64)
-    except ValueError:
-        pass
     kept = [
         (lineno, line)
         for lineno, line in enumerate((raw.strip() for raw in rows), first_lineno)
@@ -245,14 +246,7 @@ def samples_from_text(text: str) -> ClickSampleSet:
         state_echo = parse_state_spec(meta["state"])
     config_echo = None
     if "config" in meta:
-        try:
-            raw_cfg = json.loads(meta["config"])
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"preamble config is not valid JSON: {exc}")
-        except RecursionError:
-            raise ParseError("preamble config JSON nests too deeply to parse") from None
-        if not isinstance(raw_cfg, dict) or set(raw_cfg) != {"N", "eta", "nu"}:
-            raise ParseError("preamble config must carry exactly N, eta, nu")
+        raw_cfg = _read_json(meta["config"], "preamble config", ("N", "eta", "nu"))
         if not all(
             (isinstance(v, int) and not isinstance(v, bool))
             or (isinstance(v, float) and math.isfinite(v))
@@ -284,226 +278,226 @@ def read_samples(path: str) -> ClickSampleSet:
 
 
 # ---------------------------------------------------------------------------
+# reports
+#
+# Every report is a table or structured JSON, written by ``_write_table`` or
+# ``_json_compact`` and read back by ``_read_table`` or ``_read_json``. A
+# field's kind says how its value is written to a table cell and to JSON, and
+# how a cell or a JSON value is read back.
+
+
+class _Kind(NamedTuple):
+    cell: Callable
+    json: Callable
+    read: Callable
+
+
+def _optional_float(raw) -> float | None:
+    return None if raw is None or raw == "" else float(raw)
+
+
+_NUMBER = _Kind(format_number, _round12, float)
+_OPTIONAL = _Kind(_format_optional, _round12, _optional_float)
+# The confidence level is the user's choice, not a computed number: JSON keeps it exact.
+_LEVEL = _Kind(format_number, float, float)
+_COUNT = _Kind(str, int, int)
+_NAME = _Kind(str, str, str)
+
+
+def _write_table(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
+    """The header line, then one comma-separated line per row of cells."""
+    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+
+
+def _read_table(text: str, what: str, header: Sequence[str | None]):
+    """The header cells and the rows of cells of a table; blank lines are skipped.
+
+    The header must match ``header``, where None stands for any one name,
+    and every row must have as many cells.
+    """
+    first, *rows = [line.split(",") for line in text.splitlines() if line.strip()] or [[]]
+    if len(first) != len(header) or any(h not in (None, c) for h, c in zip(header, first)):
+        named = ",".join(h or "<name>" for h in header)
+        raise ParseError(f"{what} table must start with the header {named!r}")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ParseError(f"{what} table row {lineno} has {len(row)} cells, not {len(header)}")
+    return first, rows
+
+
+def _read_json(text: str, what: str, fields: Sequence[str | None], many: bool = False):
+    """One JSON object, or a list of them when ``many``, each with exactly ``fields``.
+
+    None in ``fields`` stands for one key of any other name.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{what} JSON nests too deeply to parse") from None
+    objects = payload if many else [payload]
+    named = set(fields) - {None}
+    if not isinstance(objects, list) or not all(
+        isinstance(obj, dict) and named <= obj.keys() and len(obj) == len(fields)
+        for obj in objects
+    ):
+        shape = "a JSON list of objects" if many else "a JSON object"
+        raise ParseError(f"{what} must be {shape} with exactly the fields {tuple(fields)}")
+    return payload
+
+
+def _report_parser(what: str):
+    """Raise ParseError for every malformed report: a value that does not
+    convert, or that the report's own checks reject, is malformed text."""
+
+    def decorate(parse):
+        @functools.wraps(parse)
+        def parsed(text: str, fmt: str = "table"):
+            try:
+                return parse(text, fmt)
+            except (ArithmeticError, LookupError, TypeError, ValueError,
+                    NumericalInstability) as exc:
+                raise ParseError(f"malformed {what}: {exc}") from None
+
+        return parsed
+
+    return decorate
+
+
+def _emit_rows(fields: dict, rows: Sequence[dict], fmt: str) -> str:
+    """A list report: one table row or JSON object per row of field values."""
+    if fmt == "structured":
+        return _json_compact(
+            [{name: kind.json(row[name]) for name, kind in fields.items()} for row in rows]
+        ) + "\n"
+    return _write_table(
+        fields, ([kind.cell(row[name]) for name, kind in fields.items()] for row in rows)
+    )
+
+
+# ---------------------------------------------------------------------------
 # click distributions
 
 
 def emit_distribution(dist: ClickDistribution, fmt: str = "table") -> str:
     if fmt == "structured":
-        payload = {"N": dist.N, "probs": [_round12(p) for p in dist.probs]}
-        return _json_compact(payload) + "\n"
-    lines = ["k,c_k"]
-    lines.extend(f"{k},{format_number(p)}" for k, p in enumerate(dist.probs))
-    return "\n".join(lines) + "\n"
+        return _json_compact({"N": dist.N, "probs": [_round12(p) for p in dist.probs]}) + "\n"
+    rows = ((str(k), format_number(p)) for k, p in enumerate(dist.probs))
+    return _write_table(("k", "c_k"), rows)
 
 
+@_report_parser("distribution")
 def parse_distribution(text: str, fmt: str = "table") -> ClickDistribution:
     if fmt == "structured":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid structured distribution: {exc}")
-        if not isinstance(payload, dict) or set(payload) != {"N", "probs"}:
-            raise ParseError("structured distribution must carry N and probs")
-        return ClickDistribution(int(payload["N"]), np.asarray(payload["probs"]))
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "k,c_k":
-        raise ParseError("distribution table must start with header 'k,c_k'")
-    probs = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'k,c_k' columns")
-        try:
-            k, p = int(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed row {line!r}")
-        if k != len(probs):
-            raise ParseError(f"line {lineno}: click index {k} out of order")
-        probs.append(p)
-    if not probs:
+        payload = _read_json(text, "structured distribution", ("N", "probs"))
+        return ClickDistribution(int(payload["N"]), np.asarray(payload["probs"], dtype=np.float64))
+    _, rows = _read_table(text, "distribution", ("k", "c_k"))
+    if not rows:
         raise ParseError("distribution table has no rows")
-    return ClickDistribution(len(probs) - 1, np.asarray(probs))
+    if [int(k) for k, _ in rows] != list(range(len(rows))):
+        raise ParseError("distribution table rows must count k = 0, 1, ..., N")
+    return ClickDistribution(len(rows) - 1, np.array([float(p) for _, p in rows]))
 
 
 # ---------------------------------------------------------------------------
 # nonclassicality reports
 
 
-_REPORT_FIELDS = ("q_b", "q_m_clicks", "q_m_photons", "click_mean", "click_variance")
+_REPORT_FIELDS = {
+    "q_b": _NUMBER,
+    "q_m_clicks": _NUMBER,
+    "q_m_photons": _OPTIONAL,
+    "click_mean": _NUMBER,
+    "click_variance": _NUMBER,
+}
 
 
 def emit_nonclassicality(report: NonclassicalityReport, fmt: str = "table") -> str:
-    values = {name: getattr(report, name) for name in _REPORT_FIELDS}
+    values = vars(report)
     if fmt == "structured":
-        return _json_compact({k: _round12(v) for k, v in values.items()}) + "\n"
-    lines = ["quantity,value"]
-    lines.extend(f"{k},{_format_optional(v)}" for k, v in values.items())
-    return "\n".join(lines) + "\n"
+        return _json_compact(
+            {name: kind.json(values[name]) for name, kind in _REPORT_FIELDS.items()}
+        ) + "\n"
+    return _write_table(
+        ("quantity", "value"),
+        ((name, kind.cell(values[name])) for name, kind in _REPORT_FIELDS.items()),
+    )
 
 
+@_report_parser("report")
 def parse_nonclassicality(text: str, fmt: str = "table") -> NonclassicalityReport:
     if fmt == "structured":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid structured report: {exc}")
-        if set(payload) != set(_REPORT_FIELDS):
-            raise ParseError(f"report must carry exactly {_REPORT_FIELDS}")
-        return NonclassicalityReport(**payload)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "quantity,value":
-        raise ParseError("report table must start with header 'quantity,value'")
-    values: dict[str, float | None] = {}
-    for line in lines[1:]:
-        key, _, raw = line.partition(",")
-        if key not in _REPORT_FIELDS:
-            raise ParseError(f"unknown report quantity {key!r}")
-        values[key] = float(raw) if raw else None
-    if set(values) != set(_REPORT_FIELDS):
-        raise ParseError(f"report must carry exactly {_REPORT_FIELDS}")
-    return NonclassicalityReport(**values)
+        values = _read_json(text, "structured report", tuple(_REPORT_FIELDS))
+    else:
+        values = dict(_read_table(text, "report", ("quantity", "value"))[1])
+        if values.keys() != _REPORT_FIELDS.keys():
+            raise ParseError(f"report must carry exactly {tuple(_REPORT_FIELDS)}")
+    return NonclassicalityReport(
+        **{name: kind.read(values[name]) for name, kind in _REPORT_FIELDS.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
 # estimate reports
 
 
-_ESTIMATE_COLUMNS = (
-    "statistic",
-    "point_estimate",
-    "ci_low",
-    "ci_high",
-    "confidence_level",
-    "sample_size",
-    "bootstrap_replicates",
-    "degenerate_resamples",
-)
+_ESTIMATE_FIELDS = {
+    "statistic": _NAME,
+    "point_estimate": _NUMBER,
+    "ci_low": _OPTIONAL,
+    "ci_high": _OPTIONAL,
+    "confidence_level": _LEVEL,
+    "sample_size": _COUNT,
+    "bootstrap_replicates": _COUNT,
+    "degenerate_resamples": _COUNT,
+}
 
 
 def emit_estimates(reports: Sequence[EstimateReport], fmt: str = "table") -> str:
-    if fmt == "structured":
-        payload = [
-            {
-                "statistic": r.statistic_name,
-                "point_estimate": _round12(r.point_estimate),
-                "ci_low": _round12(r.ci_low),
-                "ci_high": _round12(r.ci_high),
-                "confidence_level": r.confidence_level,
-                "sample_size": r.sample_size,
-                "bootstrap_replicates": r.bootstrap_replicates,
-                "degenerate_resamples": r.degenerate_resamples,
-            }
-            for r in reports
-        ]
-        return _json_compact(payload) + "\n"
-    lines = [",".join(_ESTIMATE_COLUMNS)]
-    for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    r.statistic_name,
-                    format_number(r.point_estimate),
-                    _format_optional(r.ci_low),
-                    _format_optional(r.ci_high),
-                    format_number(r.confidence_level),
-                    str(r.sample_size),
-                    str(r.bootstrap_replicates),
-                    str(r.degenerate_resamples),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = [{"statistic": r.statistic_name, **vars(r)} for r in reports]
+    return _emit_rows(_ESTIMATE_FIELDS, rows, fmt)
 
 
-def _estimate_from_fields(fields: dict) -> EstimateReport:
-    return EstimateReport(
-        statistic_name=fields["statistic"],
-        point_estimate=float(fields["point_estimate"]),
-        ci_low=fields["ci_low"],
-        ci_high=fields["ci_high"],
-        confidence_level=float(fields["confidence_level"]),
-        sample_size=int(fields["sample_size"]),
-        bootstrap_replicates=int(fields["bootstrap_replicates"]),
-        degenerate_resamples=int(fields["degenerate_resamples"]),
-    )
-
-
+@_report_parser("estimates")
 def parse_estimates(text: str, fmt: str = "table") -> list[EstimateReport]:
     if fmt == "structured":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid structured estimates: {exc}")
-        if not isinstance(payload, list):
-            raise ParseError("structured estimates must be a list")
-        return [_estimate_from_fields(item) for item in payload]
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != ",".join(_ESTIMATE_COLUMNS):
-        raise ParseError("estimate table header does not match")
-    out = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(_ESTIMATE_COLUMNS):
-            raise ParseError(f"estimate row has {len(parts)} columns")
-        fields = dict(zip(_ESTIMATE_COLUMNS, parts))
-        fields["ci_low"] = float(fields["ci_low"]) if fields["ci_low"] else None
-        fields["ci_high"] = float(fields["ci_high"]) if fields["ci_high"] else None
-        out.append(_estimate_from_fields(fields))
-    return out
+        rows = _read_json(text, "structured estimates", tuple(_ESTIMATE_FIELDS), many=True)
+    else:
+        header, cells = _read_table(text, "estimate", tuple(_ESTIMATE_FIELDS))
+        rows = [dict(zip(header, row)) for row in cells]
+    values = [
+        {name: kind.read(row[name]) for name, kind in _ESTIMATE_FIELDS.items()} for row in rows
+    ]
+    return [EstimateReport(statistic_name=v.pop("statistic"), **v) for v in values]
 
 
 # ---------------------------------------------------------------------------
 # sweep tables
 
 
-_SWEEP_VALUE_COLUMNS = ("q_b", "q_m_clicks", "click_mean", "click_variance")
+_SWEEP_FIELDS = dict.fromkeys(("q_b", "q_m_clicks", "click_mean", "click_variance"), _NUMBER)
 
 
 def emit_sweep(
     axis_name: str, rows: Sequence[tuple[float, float, float, float, float]],
     fmt: str = "table",
 ) -> str:
-    if fmt == "structured":
-        payload = [
-            {
-                axis_name: _round12(row[0]),
-                **{col: _round12(v) for col, v in zip(_SWEEP_VALUE_COLUMNS, row[1:])},
-            }
-            for row in rows
-        ]
-        return _json_compact(payload) + "\n"
-    lines = [",".join((axis_name,) + _SWEEP_VALUE_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
-    return "\n".join(lines) + "\n"
+    fields = {axis_name: _NUMBER, **_SWEEP_FIELDS}
+    return _emit_rows(fields, [dict(zip(fields, row)) for row in rows], fmt)
 
 
+@_report_parser("sweep")
 def parse_sweep(text: str, fmt: str = "table") -> tuple[str, list[tuple[float, ...]]]:
+    # The axis is the column beside the value columns: the first header cell
+    # of a table, the extra key of every JSON object.
+    columns = (None, *_SWEEP_FIELDS)
     if fmt == "structured":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid structured sweep: {exc}")
-        if not isinstance(payload, list) or not payload:
+        objects = _read_json(text, "structured sweep", columns, many=True)
+        if not objects:
             raise ParseError("structured sweep must be a nonempty list")
-        axis = next(
-            k for k in payload[0] if k not in _SWEEP_VALUE_COLUMNS
-        )
-        rows = [
-            (item[axis],) + tuple(item[c] for c in _SWEEP_VALUE_COLUMNS)
-            for item in payload
-        ]
-        return axis, rows
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("sweep table is empty")
-    header = lines[0].split(",")
-    if len(header) != 5 or tuple(header[1:]) != _SWEEP_VALUE_COLUMNS:
-        raise ParseError("sweep table header does not match")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ParseError(f"sweep row has {len(parts)} columns")
-        rows.append(tuple(float(p) for p in parts))
-    return header[0], rows
+        axis = (objects[0].keys() - _SWEEP_FIELDS.keys()).pop()
+        rows = [[obj[name] for name in (axis, *_SWEEP_FIELDS)] for obj in objects]
+    else:
+        (axis, *_), rows = _read_table(text, "sweep", columns)
+    return axis, [tuple(float(value) for value in row) for row in rows]

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .click_kernel import DetectorConfig
-from .states import DEFAULT_TAIL_TOLERANCE, StateSpec, make_distribution
+from .states import StateSpec, make_distribution
 
 CHUNK_SIZE = 4096
 MAX_TRIALS = 10**8
@@ -81,19 +81,15 @@ def check_workers(workers: int) -> None:
 
 
 @lru_cache(maxsize=128)
-def _cumulative_table(spec: StateSpec, tail_tolerance: float) -> np.ndarray:
+def _cumulative_table(spec: StateSpec) -> np.ndarray:
     """Shared read-only inverse-CDF table for photon-number sampling."""
-    pnd = make_distribution(spec, tail_tolerance)
+    pnd = make_distribution(spec)
     cum = np.cumsum(pnd.probs)
     cum.setflags(write=False)
     return cum
 
 
-def sample_photon_number(
-    spec: StateSpec,
-    random_draw: float,
-    tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
-) -> int:
+def sample_photon_number(spec: StateSpec, random_draw: float) -> int:
     """Inverse-CDF photon-number sample from a uniform draw in [0, 1).
 
     Draws at or beyond the truncated cumulative total map to the cutoff
@@ -101,7 +97,7 @@ def sample_photon_number(
     """
     if not (0.0 <= random_draw < 1.0):
         raise ValueError(f"random draw must lie in [0, 1), got {random_draw!r}")
-    cum = _cumulative_table(spec, tail_tolerance)
+    cum = _cumulative_table(spec)
     idx = int(np.searchsorted(cum, random_draw, side="right"))
     return min(idx, cum.size - 1)
 
@@ -173,7 +169,7 @@ def simulate(
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     check_workers(workers)
     spec.validate()
-    cum = _cumulative_table(spec, DEFAULT_TAIL_TOLERANCE)
+    cum = _cumulative_table(spec)
 
     clicks = np.concatenate([
         _simulate_chunk(cum, config, seed, c, min(CHUNK_SIZE, trials - start))

@@ -8,6 +8,7 @@ the evaluation paths under test; the reader only builds its result from the
 package's data types and state parser.
 """
 
+import functools
 import json
 from fractions import Fraction
 from itertools import product
@@ -26,8 +27,12 @@ def occupancy_by_enumeration(m: int, N: int) -> list[Fraction]:
     return [Fraction(c, total) for c in counts]
 
 
+@functools.cache
 def stirling2(m: int, k: int) -> int:
-    """Stirling numbers of the second kind by the standard recurrence."""
+    """Stirling numbers of the second kind by the standard recurrence.
+
+    Cached: uncached, the recurrence takes time exponential in m.
+    """
     if m == 0:
         return 1 if k == 0 else 0
     if k == 0 or k > m:

@@ -352,6 +352,26 @@ class TestMalformedInputExitsCleanly:
             clickstats.state_from_dict(data)
 
 
+class TestSweepGridEnds:
+    """Sweep ends that no grid can span exit 2 naming the flag, before numpy
+    sees them, so no numpy warning is printed."""
+
+    @pytest.mark.parametrize("start,stop,steps,message", [
+        ("1", "inf", "2", "--to must be a finite number"),
+        ("-1.7e308", "1.7e308", "3", "--to minus --from overflows"),
+        ("nan", "nan", "1", "--from must be a finite number"),
+    ])
+    def test_rejected_before_the_grid(self, start, stop, steps, message):
+        proc = _fresh_python(
+            "-m", "clickstats", "sweep", "--state", FOCK1, "--detectors", "8",
+            "--sweep-axis", "N", f"--from={start}", f"--to={stop}", "--steps", steps,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ValidationError"), proc.stderr
+        assert message in proc.stderr
+        assert "Warning" not in proc.stderr
+
+
 class TestExtremeStateParameters:
     """States whose photon law no cutoff can hold exit 1, never a traceback."""
 

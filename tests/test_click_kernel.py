@@ -71,7 +71,7 @@ class TestOccupancy:
         exact = [float(f) for f in oracles.occupancy_by_enumeration(m, N)]
         np.testing.assert_allclose(occupancy_distribution(m, N), exact, atol=1e-14)
 
-    @pytest.mark.parametrize("m,N", [(7, 5), (10, 4), (12, 7), (20, 3)])
+    @pytest.mark.parametrize("m,N", [(7, 5), (10, 4), (12, 7), (20, 3), (7, 1024), (30, 1024)])
     def test_against_stirling_formula(self, m, N):
         exact = [float(f) for f in oracles.occupancy_by_stirling(m, N)]
         np.testing.assert_allclose(occupancy_distribution(m, N), exact, rtol=1e-12)
@@ -306,6 +306,31 @@ class TestExactLeafRoutes:
         for spec in EXACT_LEAF_STATES + [StateSpec.coherent(3.0), StateSpec.fock(0)]:
             for method in ("auto", "generating_function"):
                 click_distribution(spec, cfg, method)
+
+
+ROUTE_STATES = [
+    StateSpec.coherent(2.0),
+    StateSpec.thermal(2.0),
+    StateSpec.fock(3),
+    StateSpec.squeezed_vacuum(0.8),
+    StateSpec.mixture([(0.5, StateSpec.fock(2)), (0.5, StateSpec.squeezed_vacuum(0.3))]),
+    StateSpec.explicit([0.2, 0.5, 0.3]),
+]
+
+
+class TestRoutes:
+    """auto returns the forced gf law, bit for bit, wherever Path A passes
+    auto's validity checks, and the dp law everywhere else."""
+
+    @pytest.mark.parametrize("spec", ROUTE_STATES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("N", [1, 60, 61, 653, 1024])
+    @pytest.mark.parametrize("eta,nu", [(1.0, 0.0), (0.05, 0.05)])
+    def test_auto_is_gf_where_path_a_is_valid_else_dp(self, spec, N, eta, nu):
+        cfg = DetectorConfig(N=N, eta=eta, nu=nu)
+        auto = click_distribution(spec, cfg, "auto").probs
+        valid = click_kernel._looks_valid(_path_a(spec, cfg))
+        route = "generating_function" if valid else "occupancy_dp"
+        np.testing.assert_array_equal(auto, click_distribution(spec, cfg, route).probs)
 
 
 class TestBinomialReference:

@@ -297,3 +297,56 @@ class TestSweepFormats:
         row = text.splitlines()[1].split(",")
         assert row[0] == "0.333333333333"
         assert row[3] == "0.666666666667"
+
+
+_ESTIMATE_HEADER = (
+    "statistic,point_estimate,ci_low,ci_high,confidence_level,"
+    "sample_size,bootstrap_replicates,degenerate_resamples\n"
+)
+_SWEEP_HEADER = "eta,q_b,q_m_clicks,click_mean,click_variance\n"
+_DEEP = "[" * 100000
+_REPORT_BELOW_FLOOR = (
+    '{"q_b":-5,"q_m_clicks":1,"q_m_photons":null,"click_mean":1,"click_variance":1}'
+)
+_NO_AXIS = '[{"q_b":1,"q_m_clicks":1,"click_mean":1,"click_variance":1}]'
+_ESTIMATE = (
+    '{"statistic":"%s","point_estimate":0.1,"ci_low":null,"ci_high":null,'
+    '"confidence_level":0.95,"sample_size":10,"bootstrap_replicates":0,'
+    '"degenerate_resamples":0}'
+)
+
+
+class TestMalformedReports:
+    """Every malformed report raises ParseError; each text here escaped as
+    another exception (named in the id) before the codecs were shared."""
+
+    @pytest.mark.parametrize("parser,fmt,text", [
+        pytest.param("distribution", "structured", _DEEP, id="dist-json-RecursionError"),
+        pytest.param("nonclassicality", "structured", _DEEP, id="report-json-RecursionError"),
+        pytest.param("estimates", "structured", _DEEP, id="estimates-json-RecursionError"),
+        pytest.param("sweep", "structured", _DEEP, id="sweep-json-RecursionError"),
+        pytest.param("distribution", "structured", '{"N":"a","probs":[1]}',
+                     id="dist-json-ValueError"),
+        pytest.param("distribution", "structured", '{"N":1,"probs":[0.5,{"a":1}]}',
+                     id="dist-json-TypeError"),
+        pytest.param("distribution", "table", "k,c_k\n0,0.5\n1,0.6\n",
+                     id="dist-table-NumericalInstability"),
+        pytest.param("nonclassicality", "structured", "1", id="report-json-TypeError"),
+        pytest.param("nonclassicality", "structured", _REPORT_BELOW_FLOOR,
+                     id="report-json-ValueError"),
+        pytest.param("nonclassicality", "table", "quantity,value\nq_b,x\n",
+                     id="report-table-ValueError"),
+        pytest.param("estimates", "structured", "[{}]", id="estimates-json-KeyError"),
+        pytest.param("estimates", "structured", "[1]", id="estimates-json-TypeError"),
+        pytest.param("estimates", "structured", "[%s]" % (_ESTIMATE % "q_x"),
+                     id="estimates-json-ValueError"),
+        pytest.param("estimates", "table", _ESTIMATE_HEADER + "q_b,x,,,0.95,10,0,0\n",
+                     id="estimates-table-ValueError"),
+        pytest.param("sweep", "structured", _NO_AXIS, id="sweep-json-StopIteration"),
+        pytest.param("sweep", "structured", '[{"eta":1}]', id="sweep-json-KeyError"),
+        pytest.param("sweep", "structured", "[1]", id="sweep-json-TypeError"),
+        pytest.param("sweep", "table", _SWEEP_HEADER + "1,2,3,4,x\n", id="sweep-table-ValueError"),
+    ])
+    def test_parse_error(self, parser, fmt, text):
+        with pytest.raises(ParseError):
+            getattr(records, f"parse_{parser}")(text, fmt)

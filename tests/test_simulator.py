@@ -206,7 +206,7 @@ class TestSamplePhotonNumber:
     def test_draw_at_tail_maps_to_cutoff(self):
         from clickstats.simulator import _cumulative_table
 
-        cum = _cumulative_table(StateSpec.coherent(1.0), 1e-12)
+        cum = _cumulative_table(StateSpec.coherent(1.0))
         assert sample_photon_number(StateSpec.coherent(1.0), 1.0 - 1e-16) == cum.size - 1
 
     def test_coherent_sample_mean(self):
