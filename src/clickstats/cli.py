@@ -20,9 +20,8 @@ from .click_kernel import (
     DetectorConfig,
     click_distribution,
     click_moments,
-    degenerate_mean,
     nonclassicality_report,
-    q_from_moments,
+    q_value,
 )
 from .errors import DomainError, ParseError, ValidationError
 from .estimators import mandel_q_estimate, qb_estimate
@@ -178,24 +177,20 @@ def run_sweep(
     grid: np.ndarray,
     method: str = "auto",
 ) -> list[tuple[float, float, float, float, float]]:
-    """One row per grid point: (axis value, Q_B, Q_M on clicks, mean, variance).
-
-    Every grid point is checked before any law is evaluated, and a
-    degenerate mean is reported, at the first point that has one, once every
-    law is evaluated.
-    """
-    values = [float(value) for value in grid]
-    points = [_sweep_point(spec, config, axis, value) for value in values]
-    moments = [click_moments(click_distribution(s, c, method)) for s, c in points]
-    detectors = [c.N for _, c in points]
-    mean, variance = np.array(moments).reshape(-1, 2).T
-    q_b = q_from_moments(mean, variance, "q_b", np.array(detectors))
-    degenerate = np.flatnonzero(np.isnan(q_b))
-    if degenerate.size:
-        first = int(degenerate[0])
-        raise degenerate_mean(moments[first][0], detectors[first])
-    q_m = q_from_moments(mean, variance, "q_m")
-    return list(zip(values, q_b.tolist(), q_m.tolist(), mean.tolist(), variance.tolist()))
+    """One row per grid point: (axis value, Q_B, Q_M on clicks, mean, variance)."""
+    rows = []
+    for value in grid:
+        pt_spec, pt_config = _sweep_point(spec, config, axis, float(value))
+        dist = click_distribution(pt_spec, pt_config, method)
+        mean, variance = click_moments(dist)
+        rows.append((
+            float(value),
+            q_value(mean, variance, "q_b", pt_config.N),
+            q_value(mean, variance, "q_m"),
+            mean,
+            variance,
+        ))
+    return rows
 
 
 def _run(args) -> int:

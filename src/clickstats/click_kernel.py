@@ -19,15 +19,17 @@ Two routes evaluate c:
 - Path B ("occupancy_dp"): the chain weighted by the truncated photon-number
   law. All-nonnegative; the reference and the fallback.
 
-``_ROUTES`` lists the paths each method tries in order; "auto" tries A, then
-B. The first law that passes the validity checks is returned.
+``_ROUTES`` lists the paths each method tries in order and the validity
+floor their laws must meet; "auto" tries A, then B. The first law that
+passes the validity checks is returned, round-off negatives clipped to 0.
 
 Q_B measures the click variance against the binomial law with the same mean:
 Q_B = N <(dc)^2> / (<c>(N - <c>)) - 1. It vanishes for every binomial click
 distribution, and a negative value certifies sub-binomial (nonclassical)
 light. Mandel's Q_M = <(dn)^2>/<n> - 1 is provided for comparison; applied
 to click data it goes negative even for coherent light, which is exactly the
-failure Q_B repairs. ``q_from_moments`` is the one rule for both.
+failure Q_B repairs. ``q_from_moments`` is the one rule for both, and
+``q_value`` its scalar form, which raises DegenerateMean.
 """
 
 from __future__ import annotations
@@ -263,11 +265,14 @@ def _looks_valid(raw: np.ndarray, floor: float = CLAMP_TOL) -> bool:
     )
 
 
-# The paths each method tries in order, and how its failure is named.
+# The paths each method tries in order, the validity floor of their laws and
+# how a failure is named. A forced Path A tolerates round-off negatives up to
+# the method-agreement scale of 1e-9, not only the stricter threshold that
+# drives the auto fallback.
 _ROUTES = {
-    "generating_function": ((_path_a,), "generating-function path"),
-    "occupancy_dp": ((_path_b,), "occupancy path"),
-    "auto": ((_path_a, _path_b), "both evaluation paths"),
+    "generating_function": ((_path_a,), NORMALIZATION_TOL, "generating-function path"),
+    "occupancy_dp": ((_path_b,), CLAMP_TOL, "occupancy path"),
+    "auto": ((_path_a, _path_b), CLAMP_TOL, "both evaluation paths"),
 }
 
 
@@ -286,17 +291,11 @@ def click_distribution(
     if method not in _ROUTES:
         raise ValueError(f"method must be one of {tuple(_ROUTES)}, got {method!r}")
     spec.validate()
-    paths, name = _ROUTES[method]
-    # A forced Path A tolerates round-off negatives up to the method-agreement
-    # scale of 1e-9, clamped to zero, not only the stricter threshold that
-    # drives the auto fallback.
-    forced_gf = method == "generating_function"
+    paths, floor, name = _ROUTES[method]
     for path in paths:
         raw = path(spec, config)
-        if _looks_valid(raw, NORMALIZATION_TOL if forced_gf else CLAMP_TOL):
-            if forced_gf:
-                np.clip(raw, 0.0, None, out=raw)
-            return ClickDistribution(config.N, raw)
+        if _looks_valid(raw, floor):
+            return ClickDistribution(config.N, np.clip(raw, 0.0, None, out=raw))
         logger.debug(
             "%s failed validity checks at N=%d eta=%g nu=%g",
             path.__name__, config.N, config.eta, config.nu,
@@ -311,9 +310,11 @@ def occupancy_distribution(m: int, N: int) -> np.ndarray:
     """Distribution of the number of occupied bins after m uniform throws.
 
     Returns probabilities over k = 0..min(m, N). Equivalent to
-    C(N,k) k! S(m,k) / N^m with S the Stirling numbers of the second kind:
-    the occupancy chain at eta = 1 from k = 0, m steps long. No more than m
-    bins can be occupied, so the chain is cut to min(m, N) + 1 entries.
+    C(N,k) k! S(m,k) / N^m with S the Stirling numbers of the second kind,
+    computed by the stable forward recurrence
+    O_{m+1}(k) = O_m(k) k/N + O_m(k-1) (N-k+1)/N.
+    The stay factor is k/N, not the ``_occupancy_step`` form 1 - (N-k)/N,
+    which cancels at small k/N.
     """
     if m < 0 or m != int(m):
         raise ValueError(f"ball count must be a nonnegative integer, got {m!r}")
@@ -321,8 +322,15 @@ def occupancy_distribution(m: int, N: int) -> np.ndarray:
         raise ValueError(f"ball count {m} exceeds the supported maximum 4096")
     if N < 1 or N != int(N):
         raise ValueError(f"bin count must be a positive integer, got {N!r}")
-    m = int(m)
-    return _chain([0.0] * m + [1.0], np.eye(1, min(m, N) + 1)[0], N, 1.0)
+    size = min(m, N) + 1
+    occ = np.zeros(size)
+    occ[0] = 1.0
+    ks = np.arange(size)
+    for _ in range(m):
+        new = occ * ks / N
+        new[1:] += occ[:-1] * (N - ks[1:] + 1) / N
+        occ = new
+    return occ
 
 
 def binomial_reference(N: int, p: float) -> ClickDistribution:
@@ -349,29 +357,23 @@ def q_from_moments(mean, variance, statistic: str, N=None):
     below 1e-12, or for Q_B one within 1e-12 of N.
     """
     upper = N - DEGENERATE_MEAN_TOL if statistic == "q_b" else math.inf
-    # A degenerate mean turns into NaN before any division, so nothing warns;
-    # [()] turns a 0-d result into a numpy scalar, whose arithmetic is cheaper.
-    mean = np.where((mean >= DEGENERATE_MEAN_TOL) & (mean <= upper), mean, np.nan)[()]
+    # A degenerate mean turns into NaN before any division, so nothing warns.
+    mean = np.where((mean >= DEGENERATE_MEAN_TOL) & (mean <= upper), mean, np.nan)
     if statistic == "q_b":
         return N * variance / (mean * (N - mean)) - 1.0
     return variance / mean - 1.0
 
 
-def degenerate_mean(mean: float, N: int | None = None) -> DegenerateMean:
-    """The error for a mean at which Q_B (given N) or Q_M (N None) is undefined."""
-    if N is None:
-        return DegenerateMean(f"mean count {mean!r} below {DEGENERATE_MEAN_TOL}")
-    return DegenerateMean(
-        f"click mean {mean!r} is within {DEGENERATE_MEAN_TOL} of the boundary of [0, {N}]"
-    )
-
-
-def _q_value(mean: float, variance: float, statistic: str, N: int | None = None) -> float:
+def q_value(mean: float, variance: float, statistic: str, N: int | None = None) -> float:
     """One value of ``q_from_moments``; DegenerateMean where it is undefined."""
     q = float(q_from_moments(mean, variance, statistic, N))
-    if math.isnan(q):
-        raise degenerate_mean(mean, N if statistic == "q_b" else None)
-    return q
+    if not math.isnan(q):
+        return q
+    if statistic == "q_b":
+        raise DegenerateMean(
+            f"click mean {mean!r} is within {DEGENERATE_MEAN_TOL} of the boundary of [0, {N}]"
+        )
+    raise DegenerateMean(f"mean count {mean!r} below {DEGENERATE_MEAN_TOL}")
 
 
 def qb_parameter(dist: ClickDistribution) -> float:
@@ -381,7 +383,7 @@ def qb_parameter(dist: ClickDistribution) -> float:
     law; negative only for sub-binomial (nonclassical) statistics. Undefined
     when the mean click number sits within 1e-12 of 0 or N.
     """
-    return _q_value(*click_moments(dist), "q_b", dist.N)
+    return q_value(*click_moments(dist), "q_b", dist.N)
 
 
 def _as_count_probs(dist) -> np.ndarray:
@@ -404,7 +406,7 @@ def mandel_q(dist) -> float:
     Q_M = -p), which is why Q_B exists.
     """
     mean, variance = law_moments(_as_count_probs(dist))
-    return _q_value(float(mean), float(variance), "q_m")
+    return q_value(float(mean), float(variance), "q_m")
 
 
 def nonclassicality_report(
@@ -417,8 +419,8 @@ def nonclassicality_report(
     """
     dist = click_distribution(spec, config, method)
     mean, variance = click_moments(dist)
-    q_b = _q_value(mean, variance, "q_b", config.N)
-    q_m_clicks = _q_value(mean, variance, "q_m")
+    q_b = q_value(mean, variance, "q_b", config.N)
+    q_m_clicks = q_value(mean, variance, "q_m")
     try:
         q_m_photons = mandel_q(make_distribution(spec))
     except DegenerateMean:

@@ -290,18 +290,33 @@ class _Kind(NamedTuple):
     cell: Callable
     json: Callable
     read: Callable
+    load: Callable
 
 
 def _optional_float(raw) -> float | None:
     return None if raw is None or raw == "" else float(raw)
 
 
-_NUMBER = _Kind(format_number, _round12, float)
-_OPTIONAL = _Kind(_format_optional, _round12, _optional_float)
+def _json_reader(read: Callable, *types: type) -> Callable:
+    """``read`` applied to a JSON value of one of ``types``; a bool is none of them."""
+
+    def load(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(f"JSON value {value!r} is not a {types[-1].__name__}")
+        return read(value)
+
+    return load
+
+
+_NUMBER = _Kind(format_number, _round12, float, _json_reader(float, int, float))
+_OPTIONAL = _Kind(
+    _format_optional, _round12, _optional_float,
+    _json_reader(_optional_float, type(None), int, float),
+)
 # The confidence level is the user's choice, not a computed number: JSON keeps it exact.
-_LEVEL = _Kind(format_number, float, float)
-_COUNT = _Kind(str, int, int)
-_NAME = _Kind(str, str, str)
+_LEVEL = _Kind(format_number, float, float, _NUMBER.load)
+_COUNT = _Kind(str, int, int, _json_reader(int, int))
+_NAME = _Kind(str, str, str, _json_reader(str, str))
 
 
 def _write_table(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
@@ -365,6 +380,14 @@ def _report_parser(what: str):
     return decorate
 
 
+def _read_fields(fields: dict, values: dict, fmt: str) -> dict:
+    """Every field's value read by its kind: as JSON when structured, else as a cell."""
+    return {
+        name: (kind.load if fmt == "structured" else kind.read)(values[name])
+        for name, kind in fields.items()
+    }
+
+
 def _emit_rows(fields: dict, rows: Sequence[dict], fmt: str) -> str:
     """A list report: one table row or JSON object per row of field values."""
     if fmt == "structured":
@@ -391,7 +414,8 @@ def emit_distribution(dist: ClickDistribution, fmt: str = "table") -> str:
 def parse_distribution(text: str, fmt: str = "table") -> ClickDistribution:
     if fmt == "structured":
         payload = _read_json(text, "structured distribution", ("N", "probs"))
-        return ClickDistribution(int(payload["N"]), np.asarray(payload["probs"], dtype=np.float64))
+        probs = [_NUMBER.load(p) for p in _json_reader(list, list)(payload["probs"])]
+        return ClickDistribution(_COUNT.load(payload["N"]), np.array(probs))
     _, rows = _read_table(text, "distribution", ("k", "c_k"))
     if not rows:
         raise ParseError("distribution table has no rows")
@@ -433,9 +457,7 @@ def parse_nonclassicality(text: str, fmt: str = "table") -> NonclassicalityRepor
         values = dict(_read_table(text, "report", ("quantity", "value"))[1])
         if values.keys() != _REPORT_FIELDS.keys():
             raise ParseError(f"report must carry exactly {tuple(_REPORT_FIELDS)}")
-    return NonclassicalityReport(
-        **{name: kind.read(values[name]) for name, kind in _REPORT_FIELDS.items()}
-    )
+    return NonclassicalityReport(**_read_fields(_REPORT_FIELDS, values, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +488,7 @@ def parse_estimates(text: str, fmt: str = "table") -> list[EstimateReport]:
     else:
         header, cells = _read_table(text, "estimate", tuple(_ESTIMATE_FIELDS))
         rows = [dict(zip(header, row)) for row in cells]
-    values = [
-        {name: kind.read(row[name]) for name, kind in _ESTIMATE_FIELDS.items()} for row in rows
-    ]
+    values = [_read_fields(_ESTIMATE_FIELDS, row, fmt) for row in rows]
     return [EstimateReport(statistic_name=v.pop("statistic"), **v) for v in values]
 
 
@@ -498,6 +518,8 @@ def parse_sweep(text: str, fmt: str = "table") -> tuple[str, list[tuple[float, .
             raise ParseError("structured sweep must be a nonempty list")
         axis = (objects[0].keys() - _SWEEP_FIELDS.keys()).pop()
         rows = [[obj[name] for name in (axis, *_SWEEP_FIELDS)] for obj in objects]
+        read = _NUMBER.load
     else:
         (axis, *_), rows = _read_table(text, "sweep", columns)
-    return axis, [tuple(float(value) for value in row) for row in rows]
+        read = _NUMBER.read
+    return axis, [tuple(read(value) for value in row) for row in rows]

@@ -250,6 +250,16 @@ class TestSweepVerb:
         ])
         assert code == 2
 
+    def test_points_are_evaluated_in_grid_order(self, capsys):
+        # The first point's degenerate mean is reported before the second
+        # point's non-integer N is reached.
+        code = main([
+            "sweep", "--state", '{"kind":"fock","n":0}', "--detectors", "1",
+            "--sweep-axis", "N", "--from", "1", "--to", "1.5", "--steps", "2",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: DegenerateMean")
+
 
 class TestUsageErrors:
     def test_unknown_verb(self, capsys):

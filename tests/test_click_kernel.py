@@ -71,7 +71,9 @@ class TestOccupancy:
         exact = [float(f) for f in oracles.occupancy_by_enumeration(m, N)]
         np.testing.assert_allclose(occupancy_distribution(m, N), exact, atol=1e-14)
 
-    @pytest.mark.parametrize("m,N", [(7, 5), (10, 4), (12, 7), (20, 3), (7, 1024), (30, 1024)])
+    @pytest.mark.parametrize(
+        "m,N", [(7, 5), (10, 4), (12, 7), (20, 3), (7, 1024), (30, 1024), (40, 5000)]
+    )
     def test_against_stirling_formula(self, m, N):
         exact = [float(f) for f in oracles.occupancy_by_stirling(m, N)]
         np.testing.assert_allclose(occupancy_distribution(m, N), exact, rtol=1e-12)
@@ -331,6 +333,15 @@ class TestRoutes:
         valid = click_kernel._looks_valid(_path_a(spec, cfg))
         route = "generating_function" if valid else "occupancy_dp"
         np.testing.assert_array_equal(auto, click_distribution(spec, cfg, route).probs)
+
+    def test_auto_falls_back_between_the_two_floors(self):
+        # Path A's smallest entry lies between -1e-9 and -1e-12 here: valid
+        # for a forced gf, which clips it to 0, and invalid for auto.
+        spec, cfg = StateSpec.squeezed_vacuum(0.3), DetectorConfig(N=15, eta=0.05, nu=0.05)
+        assert -1e-9 < _path_a(spec, cfg).min() < -1e-12
+        auto = click_distribution(spec, cfg, "auto").probs
+        np.testing.assert_array_equal(auto, click_distribution(spec, cfg, "occupancy_dp").probs)
+        assert click_distribution(spec, cfg, "generating_function").probs.min() == 0.0
 
 
 class TestBinomialReference:

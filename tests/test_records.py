@@ -350,3 +350,34 @@ class TestMalformedReports:
     def test_parse_error(self, parser, fmt, text):
         with pytest.raises(ParseError):
             getattr(records, f"parse_{parser}")(text, fmt)
+
+
+_REPORT = '{"q_b":%s,"q_m_clicks":1,"q_m_photons":%s,"click_mean":1,"click_variance":1}'
+
+
+class TestStructuredValueTypes:
+    """A structured report's numbers must be JSON numbers and its counts JSON
+    integers: a string or a boolean in their place is malformed."""
+
+    @pytest.mark.parametrize("parser,text", [
+        ("distribution", '{"N":1,"probs":["0.5",0.5]}'),
+        ("distribution", '{"N":"1","probs":[0.5,0.5]}'),
+        ("distribution", '{"N":true,"probs":[0.5,0.5]}'),
+        ("distribution", '{"N":1.0,"probs":[0.5,0.5]}'),
+        ("nonclassicality", _REPORT % ('"1"', "null")),
+        ("nonclassicality", _REPORT % ("1", '""')),
+        ("nonclassicality", _REPORT % ('"nan"', "null")),
+        ("nonclassicality", _REPORT % ("true", "null")),
+        ("estimates", "[%s]" % (_ESTIMATE % "q_b").replace("10", '"10"')),
+        ("estimates", "[%s]" % (_ESTIMATE % "q_b").replace('"ci_low":null', '"ci_low":""')),
+        ("sweep", '[{"eta":"inf","q_b":1,"q_m_clicks":1,"click_mean":1,"click_variance":1}]'),
+    ])
+    def test_non_number_rejected(self, parser, text):
+        with pytest.raises(ParseError):
+            getattr(records, f"parse_{parser}")(text, "structured")
+
+    def test_json_numbers_accepted(self):
+        report = records.parse_nonclassicality(_REPORT % ("-0.5", "null"), "structured")
+        assert report.q_b == -0.5 and report.q_m_photons is None
+        (estimate,) = records.parse_estimates("[%s]" % (_ESTIMATE % "q_b"), "structured")
+        assert estimate.sample_size == 10 and estimate.ci_low is None
