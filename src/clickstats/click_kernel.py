@@ -375,8 +375,8 @@ def q_from_moments(mean, variance, statistic: str, N=None):
 
 def q_value(mean: float, variance: float, statistic: str, N: int | None = None) -> float:
     """``q_from_moments`` for one mean and variance; DegenerateMean where it
-    is undefined. Plain float arithmetic: a numpy call per value cost the
-    100-point sweeps about 5 %."""
+    is undefined. Plain float arithmetic: on one value numpy takes about
+    3 us against 0.3 us, and a sweep point, about 0.1 ms, needs two values."""
     if not _defined(mean, statistic, N):
         if statistic == "q_b":
             raise DegenerateMean(
