@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_config_args(p_dist)
     p_dist.add_argument(
         "--method", choices=tuple(METHOD_ALIASES), default="auto",
-        help="gf (inclusion-exclusion), dp (occupancy recurrence), or auto",
+        help="gf (generating function, leaf by leaf), dp (occupancy recurrence), or auto",
     )
     _add_output_args(p_dist)
 

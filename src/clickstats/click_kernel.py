@@ -11,13 +11,17 @@ detector, which commute with T, so b is the start vector of every chain.
 Two routes evaluate c:
 
 - Path A ("generating_function"), leaf by leaf (``_leaf_law``): exact forms
-  for coherent (a binomial law), thermal (one bidiagonal solve) and Fock
-  (the chain over a one-hot law) light; squeezed vacuum and explicit laws
-  take the inclusion-exclusion sum
+  for coherent (a binomial law) and thermal (one bidiagonal solve) light,
+  and the chain over the photon law for Fock states (a one-hot law) and
+  explicit laws; squeezed vacuum and laws beyond MAX_NMAX photons take the
+  inclusion-exclusion sum
   c_k = C(N,k) sum_j C(k,j) (-1)^j exp(-nu(N-k+j)) G(1 - eta(N-k+j)/N),
   which cancels catastrophically for large N at small eta.
 - Path B ("occupancy_dp"): the chain weighted by the truncated photon-number
   law. All-nonnegative; the reference and the fallback.
+
+``_chain`` is the only occupancy recurrence: ``occupancy_distribution`` is
+the chain over a one-hot law at eta = 1, started from k = 0.
 
 ``_ROUTES`` lists the paths each method tries in order and the validity
 floor their laws must meet; "auto" tries A, then B. The first law that
@@ -48,6 +52,7 @@ from .states import (
     StateSpec,
     _gf,
     make_distribution,
+    state_moments,
 )
 
 logger = logging.getLogger(__name__)
@@ -178,10 +183,15 @@ def _alternating_sum(g: np.ndarray, N: int) -> np.ndarray:
 
 
 def _occupancy_step(occ: np.ndarray, N: int, eta: float) -> np.ndarray:
-    """Add one photon that survives with probability eta and lands uniformly."""
+    """Add one photon that survives with probability eta and lands uniformly.
+
+    The stay factor (1 - eta) + eta k/N is formed as ((1 - eta) N + eta k)/N,
+    a sum of nonnegative terms: 1 - eta (N - k)/N would cancel at small k/N,
+    and fl(k/N) errs with one sign at every step. At eta = 1 it is k/N.
+    """
     ks = np.arange(occ.size)
-    new = occ * (1.0 - eta * (N - ks) / N)
-    new[1:] += occ[:-1] * (eta * (N - ks[1:] + 1) / N)
+    new = occ * ((1.0 - eta) * N + eta * ks) / N
+    new[1:] += occ[:-1] * (eta * (N - ks[1:] + 1)) / N
     return new
 
 
@@ -221,18 +231,21 @@ def _chain(weights, start: np.ndarray, N: int, eta: float) -> np.ndarray:
 def _leaf_law(leaf: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.ndarray:
     """G(T) b for one pure leaf.
 
-    Coherent, thermal and Fock leaves (n up to MAX_NMAX) have exact forms
-    free of cancellation: the binomial law with p = 1 - exp(-nu - eta mu / N),
-    the thermal solve, and the chain over the one-hot law of n. Other leaves
-    take the inclusion-exclusion sum, which may cancel badly for large N.
+    Coherent, thermal, Fock and explicit leaves have exact forms free of
+    cancellation: the binomial law with p = 1 - exp(-nu - eta mu / N), the
+    thermal solve, and the chain over the photon law (one-hot for a Fock
+    state) of at most MAX_NMAX photons. Squeezed vacuum and longer laws take
+    the inclusion-exclusion sum, which may cancel badly for large N.
     """
     N, eta = config.N, config.eta
     if leaf.kind == "coherent":
         return binomial_pmf(N, -math.expm1(-config.nu - eta * leaf.mean_photons / N))
     if leaf.kind == "thermal":
         return _thermal_solve(leaf.mean_photons, b, N, eta)
-    if leaf.kind == "fock" and leaf.n <= MAX_NMAX:
-        return _chain([0.0] * leaf.n + [1.0], b, N, eta)
+    if (leaf.kind == "fock" and leaf.n <= MAX_NMAX) or (
+        leaf.kind == "explicit" and len(leaf.probs) <= MAX_NMAX + 1
+    ):
+        return _chain(make_distribution(leaf).probs, b, N, eta)
     return _alternating_sum(_silent_set_factors(leaf, config), N)
 
 
@@ -310,11 +323,10 @@ def occupancy_distribution(m: int, N: int) -> np.ndarray:
     """Distribution of the number of occupied bins after m uniform throws.
 
     Returns probabilities over k = 0..min(m, N). Equivalent to
-    C(N,k) k! S(m,k) / N^m with S the Stirling numbers of the second kind,
-    computed by the stable forward recurrence
+    C(N,k) k! S(m,k) / N^m with S the Stirling numbers of the second kind:
+    the chain over the one-hot law of m at eta = 1, started from k = 0,
+    which is the stable forward recurrence
     O_{m+1}(k) = O_m(k) k/N + O_m(k-1) (N-k+1)/N.
-    The stay factor is k/N, not the ``_occupancy_step`` form 1 - (N-k)/N,
-    which cancels at small k/N.
     """
     if m < 0 or m != int(m):
         raise ValueError(f"ball count must be a nonnegative integer, got {m!r}")
@@ -322,15 +334,9 @@ def occupancy_distribution(m: int, N: int) -> np.ndarray:
         raise ValueError(f"ball count {m} exceeds the supported maximum 4096")
     if N < 1 or N != int(N):
         raise ValueError(f"bin count must be a positive integer, got {N!r}")
-    size = min(m, N) + 1
-    occ = np.zeros(size)
-    occ[0] = 1.0
-    ks = np.arange(size)
-    for _ in range(m):
-        new = occ * ks / N
-        new[1:] += occ[:-1] * (N - ks[1:] + 1) / N
-        occ = new
-    return occ
+    start = np.zeros(min(m, N) + 1)
+    start[0] = 1.0
+    return _chain([0.0] * m + [1.0], start, N, 1.0)
 
 
 def binomial_reference(N: int, p: float) -> ClickDistribution:
@@ -424,15 +430,16 @@ def nonclassicality_report(
 ) -> NonclassicalityReport:
     """Q_B and Q_M (clicks and photons) for a state and detector array.
 
-    The photon-side Mandel parameter is None when the photon mean is
-    degenerate (vacuum).
+    The photon-side Mandel parameter comes from the state's exact photon
+    moments (``state_moments``), not from its truncated law; it is None when
+    the photon mean is degenerate (vacuum).
     """
     dist = click_distribution(spec, config, method)
     mean, variance = click_moments(dist)
     q_b = q_value(mean, variance, "q_b", config.N)
     q_m_clicks = q_value(mean, variance, "q_m")
     try:
-        q_m_photons = mandel_q(make_distribution(spec))
+        q_m_photons = q_value(*state_moments(spec), "q_m")
     except DegenerateMean:
         q_m_photons = None
     return NonclassicalityReport(

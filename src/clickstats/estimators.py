@@ -57,7 +57,8 @@ STATISTICS = ("q_b", "q_m")
 class EstimateReport:
     """One estimated statistic with its percentile-bootstrap interval.
 
-    ``ci_low``/``ci_high`` are None when no bootstrap was requested.
+    ``ci_low``/``ci_high`` are None when no bootstrap was requested. The
+    confidence level must lie in (0, 1) either way.
     ``degenerate_resamples`` counts the bootstrap resamples discarded for a
     degenerate mean.
     """
@@ -74,6 +75,10 @@ class EstimateReport:
     def __post_init__(self):
         if self.statistic_name not in STATISTICS:
             raise ValueError(f"unknown statistic {self.statistic_name!r}")
+        if not 0.0 < self.confidence_level < 1.0:
+            raise ValueError(
+                f"confidence level must lie in (0, 1), got {self.confidence_level!r}"
+            )
         if self.bootstrap_replicates > 0:
             if not (self.ci_low <= self.point_estimate <= self.ci_high):
                 raise ValueError(

@@ -475,3 +475,41 @@ def photon_moments(pnd: PhotonNumberDistribution) -> tuple[float, float]:
     """Mean and variance of the photon number under a truncated distribution."""
     mean, variance = law_moments(pnd.probs)
     return float(mean), float(variance)
+
+
+def _leaf_moments(leaf: StateSpec) -> tuple[float, float]:
+    if leaf.kind == "coherent":
+        return leaf.mean_photons, leaf.mean_photons
+    if leaf.kind == "thermal":
+        return leaf.mean_photons, leaf.mean_photons * (1.0 + leaf.mean_photons)
+    if leaf.kind == "fock":
+        return float(leaf.n), 0.0
+    if leaf.kind == "squeezed_vacuum":
+        cosh_r, t = _squeezing(leaf.r)
+        s = (cosh_r * t) ** 2  # sinh^2 r
+        return s, 2.0 * s * (1.0 + s)
+    probs = np.asarray(leaf.probs, dtype=np.float64)
+    mean, variance = law_moments(probs / probs.sum())
+    return float(mean), float(variance)
+
+
+def state_moments(spec: StateSpec) -> tuple[float, float]:
+    """Exact mean and variance of a state's photon number, with no truncation.
+
+    Coherent (mu, mu), thermal (mu, mu (1 + mu)), Fock (n, 0), squeezed
+    vacuum (s, 2 s (1 + s)) with s = sinh^2 r, and an explicit law from its
+    normalized table. A mixture has mean m = sum w_i m_i and variance
+    sum w_i (v_i + (m_i - m)^2); leaves of zero weight are skipped. A
+    variance beyond the float range raises TruncationOverflow, as the
+    truncated law of such a state does.
+    """
+    parts = [(w, *_leaf_moments(leaf)) for w, leaf in spec.flattened() if w]
+    mean = sum(w * m for w, m, _ in parts)
+    # Nonnegative terms, so a plain sum is good to a few ulps, and it gives
+    # inf on overflow where math.fsum and ** raise.
+    variance = sum(w * (v + (m - mean) * (m - mean)) for w, m, v in parts)
+    if not math.isfinite(variance):
+        raise TruncationOverflow(
+            f"{spec.kind} state has a photon-number variance beyond the float range"
+        )
+    return mean, variance

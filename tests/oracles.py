@@ -105,6 +105,48 @@ def click_moments_from_gf(gf, N: int, eta: float, nu: float = 0.0):
     return N - e_s, var_s
 
 
+def chain_by_fractions(weights, start, N: int, eta: float) -> list[Fraction]:
+    """sum_n w_n T^n start in exact rationals, T the one-photon occupancy step.
+
+    Each photon survives with probability eta (taken as the exact binary
+    value of the float) and lands on one of N detectors uniformly:
+    k occupied detectors stay k with probability (1 - eta) + eta k/N and
+    become k + 1 with probability eta (N - k)/N. Float inputs convert
+    exactly, so the result is the true value of the float problem.
+    """
+    e = Fraction(eta)
+    occ = [Fraction(x) for x in start]
+    acc = [Fraction(0)] * len(occ)
+    for n, weight in enumerate(weights):
+        if n:
+            occ = [
+                occ[k] * (1 - e + e * Fraction(k, N))
+                + (occ[k - 1] * e * Fraction(N - k + 1, N) if k else 0)
+                for k in range(len(occ))
+            ]
+        if weight:
+            acc = [a + Fraction(weight) * o for a, o in zip(acc, occ)]
+    return acc
+
+
+def occupancy_by_kn_loop(m: int, N: int) -> np.ndarray:
+    """Occupied-bin law by the float forward recurrence with stay factor k/N.
+
+    The loop ``occupancy_distribution`` ran on its own before it became a
+    chain over a one-hot law: O_{m+1}(k) = O_m(k) k/N + O_m(k-1) (N-k+1)/N,
+    started from k = 0.
+    """
+    size = min(m, N) + 1
+    occ = np.zeros(size)
+    occ[0] = 1.0
+    ks = np.arange(size)
+    for _ in range(m):
+        new = occ * ks / N
+        new[1:] += occ[:-1] * (N - ks[1:] + 1) / N
+        occ = new
+    return occ
+
+
 def binomial_row(n: int, d: float) -> np.ndarray:
     """C(n,m) d^m (1-d)^(n-m) for m = 0..n, one float product per entry."""
     q = 1.0 - d
@@ -126,8 +168,17 @@ def dark_convolution_by_rows(occ_probs, N: int, nu: float) -> np.ndarray:
     return out
 
 
+def _explicit_mp(spec) -> list:
+    """An explicit law's table in mpmath, normalized exactly."""
+    total = mpmath.fsum(mpmath.mpf(p) for p in spec.probs)
+    return [mpmath.mpf(p) / total for p in spec.probs]
+
+
 def gf_mp(spec, x):
-    """G(x) of a coherent, thermal or Fock state, or a mixture of them, in mpmath."""
+    """G(x) of a coherent, thermal, Fock or explicit state, or a mixture of
+    them, in mpmath."""
+    if spec.kind == "explicit":
+        return mpmath.fsum(p * x**n for n, p in enumerate(_explicit_mp(spec)))
     if spec.kind == "coherent":
         return mpmath.exp(-mpmath.mpf(spec.mean_photons) * (1 - x))
     if spec.kind == "thermal":
@@ -159,13 +210,15 @@ def _binomial_mp(n: int, p) -> list:
 
 
 def leaf_clicks_mp(spec, N: int, eta: float, nu: float) -> list:
-    """Click law of a coherent, thermal or Fock state (or a mixture), in mpmath.
+    """Click law of a coherent, thermal, Fock or explicit state (or a
+    mixture), in mpmath.
 
     Coherent light gives Binomial(N, 1 - e^{-nu - eta mu/N}). Thermal light
     solves ((1+mu) I - mu T) c = b by forward substitution, b the dark-count
-    binomial. A Fock state sums over j occupied detectors, the occupancy law
-    sum_m Binomial(n, eta)(m) C(N,j) j! S(m,j) / N^m, with dark clicks on the
-    N - j others.
+    binomial. A Fock state n, or an explicit law p_n, sums over j occupied
+    detectors, the occupancy law
+    sum_n p_n sum_m Binomial(n, eta)(m) C(N,j) j! S(m,j) / N^m, with dark
+    clicks on the N - j others.
     """
     eta, nu = mpmath.mpf(eta), mpmath.mpf(nu)
     d = 1 - mpmath.exp(-nu)
@@ -182,17 +235,65 @@ def leaf_clicks_mp(spec, N: int, eta: float, nu: float) -> list:
             out.append(prev)
         return out
     if spec.kind == "fock":
-        n = spec.n
-        survivors = _binomial_mp(n, eta)
-        out = [mpmath.mpf(0)] * (N + 1)
-        for j in range(min(n, N) + 1):
-            occupied = math.comb(N, j) * math.factorial(j) * mpmath.fsum(
-                survivors[m] * stirling2(m, j) / mpmath.mpf(N) ** m for m in range(j, n + 1)
-            )
-            for extra, weight in enumerate(_binomial_mp(N - j, d)):
-                out[j + extra] += occupied * weight
-        return out
-    raise ValueError(f"no mpmath click law for {spec.kind!r}")
+        photons = [0] * spec.n + [1]
+    elif spec.kind == "explicit":
+        photons = _explicit_mp(spec)
+    else:
+        raise ValueError(f"no mpmath click law for {spec.kind!r}")
+    # survivors[m]: the probability that m photons survive the loss.
+    survivors = [mpmath.mpf(0)] * len(photons)
+    for n, p in enumerate(photons):
+        if p:
+            for m, q in enumerate(_binomial_mp(n, eta)):
+                survivors[m] += p * q
+    out = [mpmath.mpf(0)] * (N + 1)
+    for j in range(min(len(photons) - 1, N) + 1):
+        occupied = math.comb(N, j) * math.factorial(j) * mpmath.fsum(
+            survivors[m] * stirling2(m, j) / mpmath.mpf(N) ** m
+            for m in range(j, len(photons))
+        )
+        for extra, weight in enumerate(_binomial_mp(N - j, d)):
+            out[j + extra] += occupied * weight
+    return out
+
+
+def photon_moments_mp(spec, terms: int = 3000):
+    """Mean and variance of a state's photon number, in mpmath, by summing
+    n p_n and n^2 p_n over the first ``terms`` photon numbers of its law.
+
+    Coherent, thermal and squeezed-vacuum laws are built from their closed
+    forms; a mixture mixes the raw moments of its components.
+    """
+
+    def raw(leaf):
+        if leaf.kind == "mixture":
+            parts = [(mpmath.mpf(w), raw(sub)) for w, sub in leaf.components]
+            return tuple(mpmath.fsum(w * m[i] for w, m in parts) for i in (0, 1))
+        if leaf.kind == "fock":
+            return mpmath.mpf(leaf.n), mpmath.mpf(leaf.n) ** 2
+        if leaf.kind == "explicit":
+            probs = _explicit_mp(leaf)
+        elif leaf.kind == "coherent":
+            mu = mpmath.mpf(leaf.mean_photons)
+            probs = [mpmath.exp(-mu) * mu**n / mpmath.factorial(n) for n in range(terms)]
+        elif leaf.kind == "thermal":
+            mu = mpmath.mpf(leaf.mean_photons)
+            probs = [mu**n / (1 + mu) ** (n + 1) for n in range(terms)]
+        else:  # squeezed vacuum: p_2m = (2m)! tanh^2m r / (2^m m!)^2 / cosh r
+            r = mpmath.mpf(leaf.r)
+            probs = [mpmath.mpf(0)] * terms
+            for m in range(terms // 2):
+                probs[2 * m] = (
+                    mpmath.factorial(2 * m) * mpmath.tanh(r) ** (2 * m)
+                    / (2**m * mpmath.factorial(m)) ** 2 / mpmath.cosh(r)
+                )
+        return (
+            mpmath.fsum(n * p for n, p in enumerate(probs)),
+            mpmath.fsum(n * n * p for n, p in enumerate(probs)),
+        )
+
+    first, second = raw(spec)
+    return first, second - first**2
 
 
 def occupied_by_scatter(trial_ids, landed, size: int, N: int) -> np.ndarray:

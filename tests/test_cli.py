@@ -120,6 +120,18 @@ class TestQbVerb:
         assert code == 1
         assert "DegenerateMean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("state,extra,q_m_photons", [
+        ('{"kind":"thermal","mean_photons":200}', [], "200"),
+        ('{"kind":"squeezed_vacuum","r":3.5}', [], format(math.cosh(7.0), ".12g")),
+        ('{"kind":"coherent","mean_photons":4000}', ["--eta", "0.001"], "0"),
+        ('{"kind":"fock","n":5000}', ["--eta", "0.001", "--nu", "0.05"], "-1"),
+    ], ids=["thermal", "squeezed", "coherent", "fock"])
+    def test_photon_laws_beyond_the_cutoff(self, capsys, state, extra, q_m_photons):
+        # Each needs more than MAX_NMAX photons; dist and sweep never did.
+        assert main(["qb", "--state", state, "--detectors", "8", *extra]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert rows["q_m_photons"] == q_m_photons
+
 
 class TestSimulateAnalyzeRoundTrip:
     def test_byte_identical_and_worker_independent(self, tmp_path):
@@ -178,6 +190,20 @@ class TestSimulateAnalyzeRoundTrip:
         main(["simulate", "--state", FOCK1, "--detectors", "4", "--eta", "0.7",
               "--trials", "1000", "--seed", "3", "--out", str(sample_file)])
         assert main(["analyze", "--in", str(sample_file), "--bootstrap", "500"]) == 2
+
+    @pytest.mark.parametrize("level", ["7", "nan", "-1", "0", "1"])
+    @pytest.mark.parametrize("extra", [[], ["--format", "structured"],
+                                       ["--bootstrap", "200", "--seed", "5"]])
+    def test_analyze_rejects_a_level_outside_0_1(self, tmp_path, level, extra):
+        sample_file = tmp_path / "s.csv"
+        main(["simulate", "--state", FOCK1, "--detectors", "4", "--eta", "0.7",
+              "--trials", "1000", "--seed", "3", "--out", str(sample_file)])
+        proc = _fresh_python("-m", "clickstats", "analyze", "--in", str(sample_file),
+                             "--level", level, *extra)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "confidence level must lie in (0, 1)" in proc.stderr
 
     def test_analyze_empty_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

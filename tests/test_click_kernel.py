@@ -26,6 +26,7 @@ from clickstats.click_kernel import _occupancy_step, _path_a, _path_b
 from clickstats.errors import (
     DegenerateMean,
     NumericalInstability,
+    TruncationOverflow,
     ValidationError,
 )
 from clickstats.states import MAX_NMAX
@@ -81,6 +82,13 @@ class TestOccupancy:
     def test_sums_to_one(self):
         for m, N in [(0, 4), (3, 9), (50, 16), (200, 8)]:
             assert occupancy_distribution(m, N).sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 64, 100, 1000, 1024, 5000])
+    def test_bit_identical_to_the_stay_factor_loop(self, N):
+        # The chain at eta = 1 is the k/N loop this function once ran alone.
+        for m in [*range(80), 200, 500, 1000, 4096]:
+            got = occupancy_distribution(m, N)
+            assert got.tobytes() == oracles.occupancy_by_kn_loop(m, N).tobytes(), m
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -219,6 +227,9 @@ class TestInstabilityHandling:
             click_distribution(StateSpec.fock(1), DetectorConfig(N=2, eta=1.0), "exact")
 
 
+# A 25-entry law with weight on every photon number, p_n ~ (n + 1) 0.8^n.
+_RAMP = [(n + 1) * 0.8**n for n in range(25)]
+
 EXACT_LEAF_STATES = [
     StateSpec.thermal(2.0),
     StateSpec.thermal(0.05),
@@ -230,6 +241,8 @@ EXACT_LEAF_STATES = [
         (0.3, StateSpec.fock(3)),
         (0.4, StateSpec.coherent(2.0)),
     ]),
+    StateSpec.explicit([0.2, 0.5, 0.3]),
+    StateSpec.explicit([p / math.fsum(_RAMP) for p in _RAMP]),
 ]
 EXACT_LEAF_CONFIGS = [
     (1, 0.6, 0.05), (8, 1.0, 0.0), (20, 1.0, 0.0), (64, 0.05, 0.0),
@@ -250,9 +263,9 @@ def _exact_law(spec, N, eta, nu):
 
 
 class TestExactLeafRoutes:
-    """Coherent, thermal and Fock leaves evaluate c = G(T) b exactly: every
-    entry above 1e-300 to 12 digits, and entries whose exact value lies
-    below the smallest subnormal come out as exactly 0."""
+    """Coherent, thermal, Fock and explicit leaves evaluate c = G(T) b
+    exactly: every entry above 1e-300 to 12 digits, and entries whose exact
+    value lies below the smallest subnormal come out as exactly 0."""
 
     @pytest.mark.parametrize("spec", EXACT_LEAF_STATES, ids=lambda s: s.kind)
     @pytest.mark.parametrize("N,eta,nu", EXACT_LEAF_CONFIGS)
@@ -308,6 +321,20 @@ class TestExactLeafRoutes:
         for spec in EXACT_LEAF_STATES + [StateSpec.coherent(3.0), StateSpec.fock(0)]:
             for method in ("auto", "generating_function"):
                 click_distribution(spec, cfg, method)
+
+
+class TestChainAgainstExactRationals:
+    """The occupancy chain of a Fock state, against the same chain run in
+    exact rationals: the stay factor is a sum of nonnegative terms, so no
+    step cancels, even at small k/N."""
+
+    @pytest.mark.parametrize("n,N,eta", [(100, 300, 1.0), (40, 1000, 0.999), (200, 100, 1.0)])
+    def test_every_entry_to_1e_14(self, n, N, eta):
+        exact = oracles.chain_by_fractions([0] * n + [1], [1.0] + [0.0] * N, N, eta)
+        got = click_distribution(StateSpec.fock(n), DetectorConfig(N=N, eta=eta)).probs
+        for k, (g, e) in enumerate(zip(got.tolist(), exact)):
+            if e > 1e-290:
+                assert abs(float((g - e) / e)) <= 1e-14, (k, g, float(e))
 
 
 ROUTE_STATES = [
@@ -472,6 +499,35 @@ class TestNonclassicalityReport:
         assert rep.q_m_photons == pytest.approx(0.0, abs=1e-9)
         assert rep.click_mean == pytest.approx(8 * p, abs=1e-10)
         assert rep.click_variance == pytest.approx(8 * p * (1 - p), abs=1e-10)
+
+    @pytest.mark.parametrize("spec,exact", [
+        (StateSpec.thermal(2.0), 2.0),
+        (StateSpec.coherent(300.0), 0.0),
+        (StateSpec.fock(7), -1.0),
+        (StateSpec.squeezed_vacuum(0.8), math.cosh(1.6)),
+    ], ids=lambda v: getattr(v, "kind", ""))
+    def test_photon_side_from_exact_moments(self, spec, exact):
+        # The truncated law gave thermal(2) 1.99999999839.
+        rep = nonclassicality_report(spec, DetectorConfig(N=20, eta=1.0))
+        assert rep.q_m_photons == pytest.approx(exact, rel=1e-15, abs=1e-15)
+
+    def test_photon_side_of_a_mixture_against_mpmath(self):
+        spec = StateSpec.mixture([
+            (0.3, StateSpec.thermal(4.0)),
+            (0.3, StateSpec.fock(3)),
+            (0.2, StateSpec.squeezed_vacuum(0.6)),
+            (0.2, StateSpec.explicit([0.2, 0.5, 0.3])),
+        ])
+        with mpmath.workdps(50):
+            mean, variance = oracles.photon_moments_mp(spec)
+            exact = float(variance / mean - 1)
+        rep = nonclassicality_report(spec, DetectorConfig(N=8, eta=0.5))
+        assert rep.q_m_photons == pytest.approx(exact, rel=1e-14)
+
+    def test_photon_variance_beyond_the_float_range(self):
+        # The click law exists (mu eta / N = 0.125); mu (1 + mu) does not.
+        with pytest.raises(TruncationOverflow, match="variance"):
+            nonclassicality_report(StateSpec.thermal(1e200), DetectorConfig(N=8, eta=1e-200))
 
     def test_vacuum_photon_side_is_none(self):
         rep = nonclassicality_report(

@@ -279,6 +279,26 @@ class TestEstimateFormats:
         assert back[0].degenerate_resamples == 3
         assert records.emit_estimates(back, fmt) == text
 
+    @pytest.mark.parametrize("level", [7.0, float("nan"), -1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("fmt", ["table", "structured"])
+    def test_level_outside_0_1_is_neither_written_nor_read(self, fmt, level):
+        # A report that cannot be built cannot be written; a text carrying
+        # such a level is malformed.
+        with pytest.raises(ValueError, match="confidence level"):
+            EstimateReport(
+                statistic_name="q_m", point_estimate=-0.2, ci_low=None, ci_high=None,
+                confidence_level=level, sample_size=1000, bootstrap_replicates=0,
+            )
+        good = EstimateReport(
+            statistic_name="q_m", point_estimate=-0.2, ci_low=None, ci_high=None,
+            confidence_level=0.5, sample_size=1000, bootstrap_replicates=0,
+        )
+        text = records.emit_estimates([good], fmt).replace("0.5", repr(level))
+        if fmt == "structured":
+            text = text.replace("nan", "NaN")
+        with pytest.raises(ParseError):
+            records.parse_estimates(text, fmt)
+
 
 class TestSweepFormats:
     @pytest.mark.parametrize("fmt", ["table", "structured"])
