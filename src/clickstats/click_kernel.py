@@ -46,14 +46,7 @@ import numpy as np
 
 from .errors import DegenerateMean, NumericalInstability, ValidationError
 from .laws import binomial_pmf, law_moments
-from .states import (
-    MAX_NMAX,
-    PhotonNumberDistribution,
-    StateSpec,
-    _gf,
-    make_distribution,
-    state_moments,
-)
+from .states import MAX_NMAX, StateSpec, _gf, make_distribution, state_moments
 
 logger = logging.getLogger(__name__)
 
@@ -303,7 +296,6 @@ def click_distribution(
     """
     if method not in _ROUTES:
         raise ValueError(f"method must be one of {tuple(_ROUTES)}, got {method!r}")
-    spec.validate()
     paths, floor, name = _ROUTES[method]
     for path in paths:
         raw = path(spec, config)
@@ -403,11 +395,8 @@ def qb_parameter(dist: ClickDistribution) -> float:
 
 
 def _as_count_probs(dist) -> np.ndarray:
-    if isinstance(dist, ClickDistribution):
-        return dist.probs
-    if isinstance(dist, PhotonNumberDistribution):
-        return dist.probs
-    arr = np.asarray(dist, dtype=np.float64)
+    """The ``probs`` of a click or photon-number law, else the sequence."""
+    arr = np.asarray(getattr(dist, "probs", dist), dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a nonempty 1-d probability sequence")
     return arr

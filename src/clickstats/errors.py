@@ -26,10 +26,6 @@ class DomainError(ClickStatsError):
     """Base class for failures of a valid computation on valid input."""
 
 
-class UnnormalizedExplicit(DomainError):
-    """Explicit probability list deviates from unit sum by more than 1e-6."""
-
-
 class TruncationOverflow(DomainError):
     """Required photon-number cutoff exceeds the hard cap of 4096."""
 

@@ -10,12 +10,18 @@ are preferred over symmetric standard-error intervals.
 Resamples are drawn as multinomial counts over the observed click values,
 which is exactly an n-out-of-n resample with replacement reduced to its
 sufficient statistics. Replicates are drawn in blocks of BOOTSTRAP_BLOCK
-rows, one ``multinomial(..., size=block)`` call per block, each block from
-its own stream derived from (seed, block index), and reduced at once to one
-mean and one variance per replicate. Q_B and Q_M are both functions of those
-two numbers and the streams name no statistic, so the two statistics of one
-record share one draw (the last draw's moments are kept). The block size
-bounds the memory a large replicate count needs.
+rows, each block from its own stream derived from (seed, block index), and
+reduced at once to one mean and one variance per replicate. Q_B and Q_M are
+both functions of those two numbers and the streams name no statistic, so
+the two statistics of one record share one draw (the last draw's moments
+are kept). A block is drawn in sub-blocks of at most BOOTSTRAP_CELLS
+(rows x distinct values) cells, the same rows as one draw of the block, so
+memory is bounded whatever the replicate count and the number of distinct
+click values.
+
+``qb_estimate`` and ``mandel_q_estimate`` are one body, ``_estimate``: the
+record's checks, the histogram, the plug-in point and the report, with the
+interval from ``bootstrap_ci``.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ MIN_BOOTSTRAP_SAMPLE = 10
 DEFAULT_REPLICATES = 1000
 DEFAULT_LEVEL = 0.95
 BOOTSTRAP_BLOCK = 256
+# Cells (rows x distinct values) of one multinomial draw, about 4 MB of
+# counts: a block whose rows would hold more is drawn in sub-blocks.
+BOOTSTRAP_CELLS = 1 << 19
 
 _BOOT_DOMAIN = 0x424F4F54
 
@@ -111,12 +120,7 @@ def empirical_frequencies(samples: ClickSampleSet) -> ClickDistribution:
         raise ValidationError(
             f"N={samples.N} exceeds {MAX_DETECTORS}, the largest click distribution"
         )
-    clicks = samples.clicks
-    if clicks.min(initial=0) < 0 or clicks.max(initial=0) > samples.N:
-        raise InvalidSample(
-            f"click records must lie in [0, {samples.N}]"
-        )
-    counts = np.bincount(clicks, minlength=samples.N + 1)
+    counts = np.bincount(samples.clicks, minlength=samples.N + 1)
     return ClickDistribution(samples.N, counts / samples.trials)
 
 
@@ -168,11 +172,15 @@ def _replicate_moments(
     """Mean and unbiased variance of every bootstrap replicate of a histogram.
 
     ``values`` and ``counts`` are the int64 bytes of ``_histogram``'s arrays.
-    Block b of BOOTSTRAP_BLOCK replicates is one multinomial draw from the
-    stream (domain, seed, b), which names no statistic, so Q_B and Q_M of
-    one record share the same resamples. Both are functions of these two
+    Block b of BOOTSTRAP_BLOCK replicates comes from the stream
+    (domain, seed, b), which names no statistic, so Q_B and Q_M of one
+    record share the same resamples. Both are functions of these two
     numbers per replicate; the last result is kept, so the second statistic
-    draws nothing. The arrays are read-only because every caller gets them.
+    draws nothing. A block is drawn in sub-blocks of at most BOOTSTRAP_CELLS
+    cells; consecutive multinomial draws from one generator give the rows
+    that one draw of the whole block gives, bit for bit, and each row's
+    moments do not depend on its neighbours. The arrays are read-only
+    because every caller gets them.
     """
     value_arr = np.frombuffer(values, dtype=np.int64)
     count_arr = np.frombuffer(counts, dtype=np.int64)
@@ -180,13 +188,16 @@ def _replicate_moments(
     freqs = count_arr / n
     mean = np.empty(replicates)
     variance = np.empty(replicates)
+    step = max(1, BOOTSTRAP_CELLS // count_arr.size)
     for block, start in enumerate(range(0, replicates, BOOTSTRAP_BLOCK)):
         rng = np.random.default_rng(
             np.random.SeedSequence([_BOOT_DOMAIN, seed, block])
         )
-        rows = slice(start, min(start + BOOTSTRAP_BLOCK, replicates))
-        resampled = rng.multinomial(n, freqs, size=rows.stop - start)
-        mean[rows], variance[rows] = _sample_moments(resampled, value_arr, unbiased=True)
+        stop = min(start + BOOTSTRAP_BLOCK, replicates)
+        for first in range(start, stop, step):
+            rows = slice(first, min(first + step, stop))
+            resampled = rng.multinomial(n, freqs, size=rows.stop - first)
+            mean[rows], variance[rows] = _sample_moments(resampled, value_arr, unbiased=True)
     mean.setflags(write=False)
     variance.setflags(write=False)
     return mean, variance
@@ -250,46 +261,52 @@ def bootstrap_ci(
     return BootstrapInterval(float(lo), float(hi), discarded)
 
 
-def _build_report(
-    name: str,
-    point: float,
-    n: int,
+def _estimate(
+    statistic: str,
     samples,
+    unbiased: bool,
     replicates: int,
     level: float,
     seed: int | None,
     workers: int,
 ) -> EstimateReport:
-    check_workers(workers)
-    if replicates <= 0:
-        return EstimateReport(
-            statistic_name=name,
-            point_estimate=point,
-            ci_low=None,
-            ci_high=None,
-            confidence_level=level,
-            sample_size=n,
-            bootstrap_replicates=0,
+    """The plug-in estimate of "q_b" or "q_m", with its bootstrap interval
+    when ``replicates`` is positive."""
+    clicks, N = _clicks_array(samples)
+    if statistic == "q_b" and N is None:
+        raise ValueError("Q_B estimation needs a ClickSampleSet carrying N")
+    if clicks.size < 2:
+        raise InsufficientData(f"need at least 2 trials, got {clicks.size}")
+    values, counts = _histogram(clicks)
+    point = float(_statistic(counts, statistic, N, unbiased, values))
+    if np.isnan(point):
+        raise DegenerateMean(
+            f"sample mean within {DEGENERATE_MEAN_TOL} of the boundary of [0, {N}]"
+            if statistic == "q_b" else f"sample mean below {DEGENERATE_MEAN_TOL}"
         )
-    if seed is None:
-        raise ValueError("a seed is required when bootstrap replicates are requested")
-    interval = bootstrap_ci(
-        samples, name, replicates=replicates, level=level, seed=seed, workers=workers
-    )
-    # The percentile interval brackets the plug-in estimate in all but
-    # pathological discrete cases; widen minimally rather than report an
-    # interval excluding its own point estimate.
-    lo = min(interval.ci_low, point)
-    hi = max(interval.ci_high, point)
+    check_workers(workers)
+    ci_low = ci_high = None
+    discarded = 0
+    if replicates > 0:
+        if seed is None:
+            raise ValueError("a seed is required when bootstrap replicates are requested")
+        interval = bootstrap_ci(
+            samples, statistic, replicates=replicates, level=level, seed=seed, workers=workers
+        )
+        # The percentile interval brackets the plug-in estimate in all but
+        # pathological discrete cases; widen minimally rather than report an
+        # interval excluding its own point estimate.
+        ci_low, ci_high = min(interval.ci_low, point), max(interval.ci_high, point)
+        discarded = interval.discarded
     return EstimateReport(
-        statistic_name=name,
+        statistic_name=statistic,
         point_estimate=point,
-        ci_low=lo,
-        ci_high=hi,
+        ci_low=ci_low,
+        ci_high=ci_high,
         confidence_level=level,
-        sample_size=n,
-        bootstrap_replicates=replicates,
-        degenerate_resamples=interval.discarded,
+        sample_size=clicks.size,
+        bootstrap_replicates=max(replicates, 0),
+        degenerate_resamples=discarded,
     )
 
 
@@ -302,22 +319,7 @@ def qb_estimate(
     workers: int = 1,
 ) -> EstimateReport:
     """Plug-in Q_B estimate N s^2 / (m (N - m)) - 1 from a click record."""
-    clicks, N = _clicks_array(samples)
-    if N is None:
-        raise ValueError("Q_B estimation needs a ClickSampleSet carrying N")
-    if clicks.size < 2:
-        raise InsufficientData(f"need at least 2 trials, got {clicks.size}")
-    if clicks.min() < 0 or clicks.max() > N:
-        raise InvalidSample(f"click records must lie in [0, {N}]")
-    values, counts = _histogram(clicks)
-    point = float(_statistic(counts, "q_b", N, unbiased, values))
-    if np.isnan(point):
-        raise DegenerateMean(
-            f"sample mean within {DEGENERATE_MEAN_TOL} of the boundary of [0, {N}]"
-        )
-    return _build_report(
-        "q_b", point, clicks.size, samples, bootstrap_replicates, level, seed, workers
-    )
+    return _estimate("q_b", samples, unbiased, bootstrap_replicates, level, seed, workers)
 
 
 def mandel_q_estimate(
@@ -333,21 +335,4 @@ def mandel_q_estimate(
     Works on click records (reproducing the misleading negative values
     binomial clicks produce) and on photon-count records alike.
     """
-    counts_arr, _ = _clicks_array(samples)
-    if counts_arr.size < 2:
-        raise InsufficientData(f"need at least 2 samples, got {counts_arr.size}")
-    values, counts = _histogram(counts_arr)
-    point = float(_statistic(counts, "q_m", None, unbiased, values))
-    if np.isnan(point):
-        raise DegenerateMean(f"sample mean below {DEGENERATE_MEAN_TOL}")
-    boot_samples = samples if isinstance(samples, ClickSampleSet) else counts_arr
-    return _build_report(
-        "q_m",
-        point,
-        counts_arr.size,
-        boot_samples,
-        bootstrap_replicates,
-        level,
-        seed,
-        workers,
-    )
+    return _estimate("q_m", samples, unbiased, bootstrap_replicates, level, seed, workers)

@@ -168,7 +168,6 @@ def simulate(
     if not (0 <= seed < 2**64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     check_workers(workers)
-    spec.validate()
     cum = _cumulative_table(spec)
 
     clicks = np.concatenate([

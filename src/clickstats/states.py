@@ -5,18 +5,23 @@ convex mixtures and explicit user-supplied distributions. Everything a
 detector array sees downstream is phase insensitive, so a state enters only
 through its photon-number probabilities p_n and their generating function
 G(x) = sum_n p_n x^n.
+
+A StateSpec checks itself when it is built (``__post_init__``), so every
+spec that exists is valid: a bad field raises ValidationError naming its
+path, and no function downstream checks a spec again. Photon laws are cut
+where a closed-form tail bound falls below TAIL_TOLERANCE.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, TruncationOverflow, UnnormalizedExplicit, ValidationError
+from .errors import ParseError, TruncationOverflow, ValidationError
 from .laws import law_moments, poisson_pmf
 
 STATE_KINDS = ("coherent", "thermal", "fock", "squeezed_vacuum", "mixture", "explicit")
@@ -25,8 +30,7 @@ MAX_NMAX = 4096
 MAX_MIXTURE_DEPTH = 8
 MIXTURE_WEIGHT_TOL = 1e-9
 EXPLICIT_SUM_TOL = 1e-6
-DEFAULT_TAIL_TOLERANCE = 1e-12
-MAX_TAIL_TOLERANCE = 1e-6
+TAIL_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,10 +43,15 @@ class StateSpec:
     - ``fock``: ``n`` (photon number)
     - ``squeezed_vacuum``: ``r`` (squeeze parameter, mean photons sinh^2 r)
     - ``mixture``: ``components`` as ((weight, StateSpec), ...)
-    - ``explicit``: ``probs`` as a tuple of probabilities over n = 0, 1, ...
+    - ``explicit``: ``probs`` as a tuple of probabilities over n = 0, 1, ...,
+      summing to 1 within 1e-6
 
-    Instances are frozen and hashable so that derived tables (truncated
-    distributions, sampling CDFs) can be cached per spec.
+    Construction raises ValidationError on any violated invariant, with the
+    field path rooted at ``path`` (``state`` by default), e.g.
+    ``state.components[0].state.mean_photons``. Mixtures nest at most
+    MAX_MIXTURE_DEPTH levels deep. Instances are frozen and hashable so
+    that derived tables (truncated distributions, sampling CDFs) can be
+    cached per spec.
     """
 
     kind: str
@@ -51,6 +60,9 @@ class StateSpec:
     r: float | None = None
     components: tuple[tuple[float, "StateSpec"], ...] | None = None
     probs: tuple[float, ...] | None = None
+    path: InitVar[str] = "state"
+    # Mixture levels above the deepest leaf; set by __post_init__.
+    _levels: int = field(default=0, init=False, repr=False, compare=False)
 
     @staticmethod
     def coherent(mean_photons: float) -> "StateSpec":
@@ -77,12 +89,12 @@ class StateSpec:
     def explicit(probs: Iterable[float]) -> "StateSpec":
         return StateSpec(kind="explicit", probs=tuple(float(p) for p in probs))
 
-    def validate(self, path: str = "state", _depth: int = 0) -> None:
-        """Check every invariant, raising ValidationError with a field path."""
-        if _depth > MAX_MIXTURE_DEPTH:
-            raise ValidationError(
-                f"{path}: mixture nesting depth exceeds {MAX_MIXTURE_DEPTH}"
-            )
+    def __post_init__(self, path: str) -> None:
+        """Check every invariant, raising ValidationError with a field path.
+
+        A mixture's components checked themselves when they were built, so
+        a mixture checks only its weights, their sum and its nesting depth.
+        """
         if self.kind not in STATE_KINDS:
             raise ValidationError(
                 f"{path}.kind: {self.kind!r} is not one of {STATE_KINDS}"
@@ -106,7 +118,7 @@ class StateSpec:
         elif self.kind == "mixture":
             if not self.components:
                 raise ValidationError(f"{path}.components: must be a nonempty list")
-            total = 0.0
+            total, levels = 0.0, 0
             for i, (weight, sub) in enumerate(self.components):
                 if not math.isfinite(weight) or weight < 0 or weight > 1:
                     raise ValidationError(
@@ -116,13 +128,18 @@ class StateSpec:
                     raise ValidationError(
                         f"{path}.components[{i}].state: not a state spec"
                     )
-                sub.validate(f"{path}.components[{i}].state", _depth + 1)
+                levels = max(levels, sub._levels + 1)
                 total += weight
+            if levels > MAX_MIXTURE_DEPTH:
+                raise ValidationError(
+                    f"{path}: mixture nesting depth exceeds {MAX_MIXTURE_DEPTH}"
+                )
             if abs(total - 1.0) > MIXTURE_WEIGHT_TOL:
                 raise ValidationError(
                     f"{path}.components: weights sum to {total!r}, expected 1"
                 )
-        elif self.kind == "explicit":
+            object.__setattr__(self, "_levels", levels)
+        else:  # explicit
             if not self.probs:
                 raise ValidationError(f"{path}.probs: must be a nonempty list")
             for i, p in enumerate(self.probs):
@@ -177,7 +194,12 @@ def parse_state_spec(text: str) -> StateSpec:
 
 
 def state_from_dict(data: object, path: str = "state", _depth: int = 0) -> StateSpec:
-    """Build a StateSpec from its schema dictionary, validating as we go."""
+    """Build a StateSpec from its schema dictionary.
+
+    The JSON shape and types are checked here, and the nesting depth before
+    each recursion; every range rule is the spec's own, checked as each
+    spec is built, with the field path of this dictionary.
+    """
     if _depth > MAX_MIXTURE_DEPTH:
         raise ValidationError(f"{path}: mixture nesting depth exceeds {MAX_MIXTURE_DEPTH}")
     if not isinstance(data, dict):
@@ -204,18 +226,18 @@ def state_from_dict(data: object, path: str = "state", _depth: int = 0) -> State
         value = data["mean_photons"]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"{path}.mean_photons: expected a number")
-        spec = StateSpec(kind=kind, mean_photons=float(value))
-    elif kind == "fock":
+        return StateSpec(kind=kind, mean_photons=float(value), path=path)
+    if kind == "fock":
         value = data["n"]
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationError(f"{path}.n: expected an integer")
-        spec = StateSpec.fock(value)
-    elif kind == "squeezed_vacuum":
+        return StateSpec(kind=kind, n=value, path=path)
+    if kind == "squeezed_vacuum":
         value = data["r"]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"{path}.r: expected a number")
-        spec = StateSpec.squeezed_vacuum(float(value))
-    elif kind == "mixture":
+        return StateSpec(kind=kind, r=float(value), path=path)
+    if kind == "mixture":
         raw = data["components"]
         if not isinstance(raw, list):
             raise ValidationError(f"{path}.components: expected a list")
@@ -231,17 +253,14 @@ def state_from_dict(data: object, path: str = "state", _depth: int = 0) -> State
                 raise ValidationError(f"{path}.components[{i}].weight: expected a number")
             sub = state_from_dict(item["state"], f"{path}.components[{i}].state", _depth + 1)
             comps.append((float(weight), sub))
-        spec = StateSpec.mixture(comps)
-    else:
-        raw = data["probs"]
-        if not isinstance(raw, list) or not raw:
-            raise ValidationError(f"{path}.probs: expected a nonempty list")
-        for i, p in enumerate(raw):
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise ValidationError(f"{path}.probs[{i}]: expected a number")
-        spec = StateSpec.explicit(raw)
-    spec.validate(path)
-    return spec
+        return StateSpec(kind=kind, components=tuple(comps), path=path)
+    raw = data["probs"]
+    if not isinstance(raw, list) or not raw:
+        raise ValidationError(f"{path}.probs: expected a nonempty list")
+    for i, p in enumerate(raw):
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise ValidationError(f"{path}.probs[{i}]: expected a number")
+    return StateSpec(kind=kind, probs=tuple(float(p) for p in raw), path=path)
 
 
 @dataclass(frozen=True)
@@ -273,14 +292,6 @@ class PhotonNumberDistribution:
     @property
     def n_max(self) -> int:
         return self.probs.size - 1
-
-
-def _check_tail_tolerance(tail_tolerance: float) -> float:
-    if not (0.0 < tail_tolerance <= MAX_TAIL_TOLERANCE):
-        raise ValueError(
-            f"tail_tolerance must lie in (0, {MAX_TAIL_TOLERANCE}], got {tail_tolerance!r}"
-        )
-    return float(tail_tolerance)
 
 
 def _coherent_probs(mu: float, tol: float) -> tuple[np.ndarray, float]:
@@ -377,33 +388,18 @@ def _squeezed_probs(r: float, tol: float) -> tuple[np.ndarray, float]:
     return probs, float(tail_bound)
 
 
-def make_distribution(
-    spec: StateSpec, tail_tolerance: float = DEFAULT_TAIL_TOLERANCE
-) -> PhotonNumberDistribution:
-    """Truncate a state's photon-number distribution to the given tail mass.
+def make_distribution(spec: StateSpec) -> PhotonNumberDistribution:
+    """Truncate a state's photon-number distribution to a tail mass of 1e-12.
 
     The cutoff is the smallest one whose analytic tail bound falls below
-    ``tail_tolerance``, capped at 4096 (TruncationOverflow beyond that).
-    Explicit distributions off unit sum by at most 1e-6 are renormalized;
-    larger deviations raise UnnormalizedExplicit.
+    TAIL_TOLERANCE, capped at MAX_NMAX = 4096 (TruncationOverflow beyond
+    that). Explicit distributions, which a spec holds to unit sum within
+    1e-6, are renormalized.
     """
-    tol = _check_tail_tolerance(tail_tolerance)
-    if spec.kind == "explicit" and spec.probs:
-        try:
-            total = math.fsum(spec.probs)
-        except OverflowError:
-            raise ValidationError("state.probs: entries must lie in [0, 1]") from None
-        if abs(total - 1.0) > EXPLICIT_SUM_TOL:
-            raise UnnormalizedExplicit(
-                f"explicit probabilities sum to {total!r}; deviation exceeds "
-                f"{EXPLICIT_SUM_TOL}"
-            )
-    spec.validate()
-
     if spec.kind == "coherent":
-        probs, tail = _coherent_probs(spec.mean_photons, tol)
+        probs, tail = _coherent_probs(spec.mean_photons, TAIL_TOLERANCE)
     elif spec.kind == "thermal":
-        probs, tail = _thermal_probs(spec.mean_photons, tol)
+        probs, tail = _thermal_probs(spec.mean_photons, TAIL_TOLERANCE)
     elif spec.kind == "fock":
         if spec.n > MAX_NMAX:
             raise TruncationOverflow(f"fock n={spec.n} exceeds the cap {MAX_NMAX}")
@@ -411,7 +407,7 @@ def make_distribution(
         probs[spec.n] = 1.0
         tail = 0.0
     elif spec.kind == "squeezed_vacuum":
-        probs, tail = _squeezed_probs(spec.r, tol)
+        probs, tail = _squeezed_probs(spec.r, TAIL_TOLERANCE)
     elif spec.kind == "explicit":
         raw = np.asarray(spec.probs, dtype=np.float64)
         total = float(raw.sum())
@@ -423,7 +419,7 @@ def make_distribution(
         tail = 0.0
     else:  # mixture
         parts = [
-            (w, make_distribution(leaf, tol)) for w, leaf in spec.flattened()
+            (w, make_distribution(leaf)) for w, leaf in spec.flattened()
         ]
         n_max = max(p.n_max for _, p in parts)
         probs = np.zeros(n_max + 1)
@@ -444,8 +440,18 @@ def generating_function(spec: StateSpec, x: float) -> float:
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"generating function argument must lie in [0, 1], got {x!r}")
-    spec.validate()
     return _gf(spec, float(x))
+
+
+def _fock_n(leaf: StateSpec) -> float:
+    """A Fock state's photon number as a float; TruncationOverflow beyond
+    the float range, where no route can hold its law."""
+    try:
+        return float(leaf.n)
+    except OverflowError:
+        raise TruncationOverflow(
+            f"fock n={leaf.n} exceeds the cap {MAX_NMAX} and the float range"
+        ) from None
 
 
 def _gf(spec: StateSpec, x: float) -> float:
@@ -454,7 +460,7 @@ def _gf(spec: StateSpec, x: float) -> float:
     if spec.kind == "thermal":
         return 1.0 / (1.0 + spec.mean_photons * (1.0 - x))
     if spec.kind == "fock":
-        return x**spec.n
+        return x**_fock_n(spec)
     if spec.kind == "squeezed_vacuum":
         cosh_r, t = _squeezing(spec.r)
         return 1.0 / (cosh_r * math.sqrt(1.0 - (x * t) ** 2))
@@ -483,7 +489,7 @@ def _leaf_moments(leaf: StateSpec) -> tuple[float, float]:
     if leaf.kind == "thermal":
         return leaf.mean_photons, leaf.mean_photons * (1.0 + leaf.mean_photons)
     if leaf.kind == "fock":
-        return float(leaf.n), 0.0
+        return _fock_n(leaf), 0.0
     if leaf.kind == "squeezed_vacuum":
         cosh_r, t = _squeezing(leaf.r)
         s = (cosh_r * t) ** 2  # sinh^2 r

@@ -425,6 +425,27 @@ class TestExtremeStateParameters:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: TruncationOverflow")
 
+    FOCK_BEYOND_FLOATS = '{"kind":"fock","n":1%s}' % ("0" * 400)
+
+    @pytest.mark.parametrize("verb,extra", [
+        ("dist", ["--method", "auto"]),
+        ("dist", ["--method", "gf"]),
+        ("dist", ["--method", "dp"]),
+        ("qb", []),
+        ("sweep", ["--sweep-axis", "eta", "--from", "0.5", "--to", "1", "--steps", "2"]),
+        ("simulate", ["--trials", "10", "--seed", "1"]),
+    ])
+    def test_fock_number_beyond_the_float_range(self, verb, extra):
+        # Every route names the overflow: the occupancy route and the
+        # simulator at the cutoff, the generating function at the float range.
+        proc = _fresh_python(
+            "-m", "clickstats", verb, "--state", self.FOCK_BEYOND_FLOATS,
+            "--detectors", "4", *extra,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: TruncationOverflow"), proc.stderr
+
 
 class TestLogSpaceOverflow:
     """Where the log-space inclusion-exclusion overflows, auto falls back to

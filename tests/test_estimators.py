@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,11 @@ from clickstats import (
     qb_estimate,
     simulate,
 )
+from clickstats import estimators
 from clickstats.estimators import (
     _BOOT_DOMAIN,
     BOOTSTRAP_BLOCK,
+    STATISTICS,
     _replicate_moments,
     _statistic,
 )
@@ -337,3 +340,67 @@ class TestDistinctValueHistogram:
         expected = np.quantile(scores, [0.025, 0.975])
         got = bootstrap_ci(samples, "q_b", replicates=300, seed=6)
         assert (got.ci_low, got.ci_high) == pytest.approx(tuple(expected), rel=1e-12)
+
+
+class TestErrorPrecedence:
+    """Each faulty call names one error, whichever estimate is asked for."""
+
+    RECORD = [0, 1, 1, 2, 0, 1, 2, 1, 0, 1, 1, 2]
+    BOOT = dict(bootstrap_replicates=200, seed=5)
+
+    @pytest.mark.parametrize("estimate", [qb_estimate, mandel_q_estimate])
+    @pytest.mark.parametrize("clicks,kwargs,error,start", [
+        (RECORD, dict(workers=0), ValueError, "workers must be positive"),
+        (RECORD, dict(BOOT, workers=0), ValueError, "workers must be positive"),
+        ([1], {}, InsufficientData, "need at least 2 "),
+        ([0] * 12, {}, DegenerateMean, "sample mean "),
+        (RECORD, dict(BOOT, bootstrap_replicates=50), InsufficientData,
+         "bootstrap needs at least 100 replicates, got 50"),
+        (RECORD, dict(BOOT, level=7), ValueError, "confidence level must lie in (0, 1)"),
+        (RECORD, dict(bootstrap_replicates=200), ValueError, "a seed is required"),
+    ], ids=["workers", "workers-bootstrap", "one-trial", "degenerate", "replicates",
+            "level", "no-seed"])
+    def test_error_and_message(self, estimate, clicks, kwargs, error, start):
+        with pytest.raises(error) as info:
+            estimate(sample_set(clicks), **kwargs)
+        assert type(info.value) is error
+        assert str(info.value).startswith(start)
+
+    def test_qb_needs_a_record_carrying_n(self):
+        with pytest.raises(ValueError, match="^Q_B estimation needs a ClickSampleSet"):
+            qb_estimate(self.RECORD)
+
+
+class TestBootstrapMemory:
+    """A block's draw is split so that rows x distinct values stays bounded."""
+
+    @staticmethod
+    def _record(distinct):
+        clicks = np.random.default_rng(1).permutation(np.repeat(np.arange(distinct), 2))
+        return ClickSampleSet(N=distinct, clicks=clicks, seed=0, trials=clicks.size)
+
+    def test_peak_memory_at_50000_distinct_values(self, monkeypatch):
+        samples = self._record(50_000)
+        _replicate_moments.cache_clear()
+        tracemalloc.start()
+        try:
+            bounded = bootstrap_ci(samples, "q_m", replicates=100, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+        # One draw of the whole block gives the same interval, bit for bit.
+        monkeypatch.setattr(estimators, "BOOTSTRAP_CELLS", 1 << 40)
+        _replicate_moments.cache_clear()
+        assert bootstrap_ci(samples, "q_m", replicates=100, seed=3) == bounded
+        _replicate_moments.cache_clear()
+
+    def test_uneven_sub_blocks_draw_the_full_blocks(self, monkeypatch):
+        # Seven rows per draw: every block of 256 ends in a short sub-block.
+        samples = self._record(3000)
+        _replicate_moments.cache_clear()
+        full = [bootstrap_ci(samples, s, replicates=600, seed=8) for s in STATISTICS]
+        monkeypatch.setattr(estimators, "BOOTSTRAP_CELLS", 7 * 3000)
+        _replicate_moments.cache_clear()
+        assert [bootstrap_ci(samples, s, replicates=600, seed=8) for s in STATISTICS] == full
+        _replicate_moments.cache_clear()

@@ -1,5 +1,6 @@
 """Tests for the state catalog: distributions, generating functions, moments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +13,8 @@ from clickstats import (
     photon_moments,
     state_from_dict,
 )
-from clickstats.errors import (
-    TruncationOverflow,
-    UnnormalizedExplicit,
-    ValidationError,
-)
-from clickstats.states import polynomial_gf
+from clickstats.errors import TruncationOverflow, ValidationError
+from clickstats.states import polynomial_gf, state_moments
 
 CATALOG = [
     StateSpec.coherent(0.0),
@@ -99,7 +96,7 @@ class TestMakeDistribution:
         assert pnd.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_explicit_large_deviation_rejected(self):
-        with pytest.raises(UnnormalizedExplicit):
+        with pytest.raises(ValidationError, match="deviates from 1"):
             make_distribution(StateSpec.explicit([0.3, 0.72]))
 
     def test_vacuum_limits(self):
@@ -110,7 +107,7 @@ class TestMakeDistribution:
 
     @pytest.mark.parametrize("spec", CATALOG)
     def test_catalog_normalization_and_sign(self, spec):
-        pnd = make_distribution(spec, tail_tolerance=1e-12)
+        pnd = make_distribution(spec)
         assert np.all(pnd.probs >= 0.0)
         total = float(pnd.probs.sum())
         assert 1.0 - 2e-12 <= total <= 1.0 + 1e-12
@@ -122,47 +119,82 @@ class TestMakeDistribution:
         with pytest.raises(TruncationOverflow):
             make_distribution(StateSpec.fock(5000))
 
-    def test_tail_tolerance_range(self):
-        with pytest.raises(ValueError):
-            make_distribution(StateSpec.coherent(1.0), tail_tolerance=1e-3)
-        with pytest.raises(ValueError):
-            make_distribution(StateSpec.coherent(1.0), tail_tolerance=0.0)
+    def test_fock_number_beyond_the_float_range(self):
+        spec = StateSpec.fock(10**400)
+        for compute in (make_distribution, state_moments,
+                        lambda s: generating_function(s, 0.5)):
+            with pytest.raises(TruncationOverflow):
+                compute(spec)
+        # Below the float range the generating function keeps its value.
+        assert generating_function(StateSpec.fock(5000), 1.0) == 1.0
 
 
 class TestValidation:
+    """A StateSpec checks itself when it is built."""
+
     def test_mixture_weights_must_sum_to_one(self):
-        spec = StateSpec(
-            kind="mixture", components=((0.9, StateSpec.fock(1)),)
-        )
         with pytest.raises(ValidationError, match="weights sum"):
-            spec.validate()
+            StateSpec(kind="mixture", components=((0.9, StateSpec.fock(1)),))
 
     def test_negative_weight_rejected(self):
-        spec = StateSpec(
-            kind="mixture",
-            components=((-0.1, StateSpec.fock(1)), (1.1, StateSpec.fock(2))),
-        )
         with pytest.raises(ValidationError):
-            spec.validate()
+            StateSpec(
+                kind="mixture",
+                components=((-0.1, StateSpec.fock(1)), (1.1, StateSpec.fock(2))),
+            )
 
     def test_nesting_depth_cap(self):
         spec = StateSpec.fock(1)
         for _ in range(8):
-            spec = StateSpec.mixture([(1.0, spec)])
-        spec.validate()  # depth 8 is allowed
-        spec = StateSpec.mixture([(1.0, spec)])
+            spec = StateSpec.mixture([(1.0, spec)])  # depth 8 is allowed
         with pytest.raises(ValidationError, match="depth"):
-            spec.validate()
+            StateSpec.mixture([(1.0, spec)])
 
     def test_bad_parameters(self):
         with pytest.raises(ValidationError):
-            StateSpec.coherent(-1.0).validate()
+            StateSpec.coherent(-1.0)
         with pytest.raises(ValidationError):
-            StateSpec.squeezed_vacuum(-0.5).validate()
+            StateSpec.squeezed_vacuum(-0.5)
         with pytest.raises(ValidationError):
-            StateSpec(kind="fock", n=-2).validate()
+            StateSpec(kind="fock", n=-2)
         with pytest.raises(ValidationError):
-            StateSpec(kind="laser").validate()
+            StateSpec(kind="laser")
+
+    def test_no_validate_method(self):
+        assert not hasattr(StateSpec, "validate")
+
+    def test_replace_checks_the_new_spec(self):
+        with pytest.raises(ValidationError, match=r"^state\.mean_photons: "):
+            dataclasses.replace(StateSpec.thermal(1.0), mean_photons=-1.0)
+
+    def test_explicit_sum_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match=r"^state\.probs: sum 1\.02 deviates"):
+            StateSpec.explicit([0.3, 0.72])
+
+    def test_bad_leaf_two_mixtures_deep_names_its_path(self):
+        leaf = {"kind": "thermal", "mean_photons": -1.0}
+        inner = {"kind": "mixture", "components": [
+            {"weight": 0.5, "state": {"kind": "fock", "n": 1}},
+            {"weight": 0.5, "state": leaf},
+        ]}
+        outer = {"kind": "mixture", "components": [{"weight": 1.0, "state": inner}]}
+        with pytest.raises(ValidationError) as info:
+            state_from_dict(outer)
+        assert str(info.value) == (
+            "state.components[0].state.components[1].state.mean_photons: "
+            "must be a nonnegative real, got -1.0"
+        )
+
+    @pytest.mark.parametrize("depth,ok", [(8, True), (9, False)])
+    def test_nesting_depth_through_state_from_dict(self, depth, ok):
+        data = {"kind": "fock", "n": 1}
+        for _ in range(depth):
+            data = {"kind": "mixture", "components": [{"weight": 1.0, "state": data}]}
+        if ok:
+            assert state_from_dict(data).to_dict() == data
+        else:
+            with pytest.raises(ValidationError, match="nesting depth exceeds 8"):
+                state_from_dict(data)
 
     def test_roundtrip_through_dict(self):
         for spec in CATALOG:
