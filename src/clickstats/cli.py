@@ -1,8 +1,12 @@
 """Command-line surface: dist, qb, simulate, analyze, sweep.
 
 Exit codes: 0 on success, 1 for domain errors (the message names the error,
-e.g. DegenerateMean), 2 for usage and parse errors. Randomized verbs demand
-an explicit --seed; reproducibility is part of the contract, so there is no
+e.g. DegenerateMean), 2 for usage and parse errors, among them a user-named
+file (``--state``, ``--in``, ``--out``) that cannot be read, decoded or
+written. The four state verbs build their StateSpec and DetectorConfig once,
+and those check every value; a sweep point is the same spec or config with
+one field replaced, checked again as it is built. Randomized verbs demand an
+explicit --seed; reproducibility is part of the contract, so there is no
 wall-clock default.
 """
 
@@ -26,7 +30,7 @@ from .click_kernel import (
 from .errors import DomainError, ParseError, ValidationError
 from .estimators import mandel_q_estimate, qb_estimate
 from .simulator import simulate
-from .states import StateSpec, parse_state_spec
+from .states import STATE_FIELDS, StateSpec, parse_state_spec
 
 SWEEP_AXES = ("eta", "nu", "N", "mean_photons", "r")
 METHOD_ALIASES = {"gf": "generating_function", "dp": "occupancy_dp", "auto": "auto"}
@@ -37,15 +41,11 @@ def _load_state(arg: str) -> StateSpec:
     """Accept an inline JSON object or a path to a file holding one."""
     text = arg.strip()
     if not text.startswith("{"):
-        try:
-            with open(arg) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read state file {arg!r}: {exc}")
+        text = records.read_text(arg, "state file")
     return parse_state_spec(text)
 
 
-def _add_state_config_args(parser: argparse.ArgumentParser) -> None:
+def _add_state_config_args(parser: argparse.ArgumentParser, methods: bool = True) -> None:
     parser.add_argument(
         "--state", required=True,
         help="state spec: inline JSON or a path to a JSON file",
@@ -56,6 +56,11 @@ def _add_state_config_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--eta", type=float, default=1.0, help="quantum efficiency")
     parser.add_argument("--nu", type=float, default=0.0, help="dark-count parameter")
+    if methods:
+        parser.add_argument(
+            "--method", choices=tuple(METHOD_ALIASES), default="auto",
+            help="gf (generating function, leaf by leaf), dp (occupancy recurrence), or auto",
+        )
 
 
 def _add_output_args(parser: argparse.ArgumentParser, formats: bool = True) -> None:
@@ -79,19 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("dist", help="exact click-count distribution")
     _add_state_config_args(p_dist)
-    p_dist.add_argument(
-        "--method", choices=tuple(METHOD_ALIASES), default="auto",
-        help="gf (generating function, leaf by leaf), dp (occupancy recurrence), or auto",
-    )
     _add_output_args(p_dist)
 
     p_qb = sub.add_parser("qb", help="Q_B / Q_M nonclassicality report")
     _add_state_config_args(p_qb)
-    p_qb.add_argument("--method", choices=tuple(METHOD_ALIASES), default="auto")
     _add_output_args(p_qb)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo click record")
-    _add_state_config_args(p_sim)
+    _add_state_config_args(p_sim, methods=False)
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="scan one axis and tabulate Q_B / Q_M")
     _add_state_config_args(p_sw)
-    p_sw.add_argument("--method", choices=tuple(METHOD_ALIASES), default="auto")
     p_sw.add_argument("--sweep-axis", choices=SWEEP_AXES, required=True)
     p_sw.add_argument("--from", dest="sweep_from", type=float, required=True)
     p_sw.add_argument("--to", dest="sweep_to", type=float, required=True)
@@ -123,9 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write output file {out!r}: {exc}") from None
 
 
 def _sweep_grid(args) -> np.ndarray:
@@ -148,26 +150,17 @@ def _sweep_grid(args) -> np.ndarray:
 def _sweep_point(
     spec: StateSpec, config: DetectorConfig, axis: str, value: float
 ) -> tuple[StateSpec, DetectorConfig]:
-    if axis == "eta":
-        return spec, dataclasses.replace(config, eta=float(value))
-    if axis == "nu":
-        return spec, dataclasses.replace(config, nu=float(value))
+    """The spec and config of one grid point: ``axis`` replaced by ``value``."""
     if axis == "N":
         if abs(value - round(value)) > 1e-9:
             raise ValidationError(f"sweep over N hit a non-integer grid point {value!r}")
-        return spec, dataclasses.replace(config, N=int(round(value)))
-    if axis == "mean_photons":
-        if spec.kind not in ("coherent", "thermal"):
-            raise ValidationError(
-                f"axis mean_photons requires a coherent or thermal state, "
-                f"got {spec.kind!r}"
-            )
-        return dataclasses.replace(spec, mean_photons=float(value)), config
-    if spec.kind != "squeezed_vacuum":
-        raise ValidationError(
-            f"axis r requires a squeezed_vacuum state, got {spec.kind!r}"
-        )
-    return dataclasses.replace(spec, r=float(value)), config
+        value = round(value)
+    if axis in ("eta", "nu", "N"):
+        return spec, dataclasses.replace(config, **{axis: value})
+    if STATE_FIELDS[spec.kind] != axis:
+        kinds = " or ".join(kind for kind, name in STATE_FIELDS.items() if name == axis)
+        raise ValidationError(f"axis {axis} requires a {kinds} state, got {spec.kind!r}")
+    return dataclasses.replace(spec, **{axis: value}), config
 
 
 def run_sweep(
@@ -194,29 +187,6 @@ def run_sweep(
 
 
 def _run(args) -> int:
-    if args.verb == "dist":
-        spec = _load_state(args.state)
-        config = DetectorConfig(N=args.detectors, eta=args.eta, nu=args.nu)
-        dist = click_distribution(spec, config, METHOD_ALIASES[args.method])
-        _emit(records.emit_distribution(dist, args.format), args.out)
-        return 0
-
-    if args.verb == "qb":
-        spec = _load_state(args.state)
-        config = DetectorConfig(N=args.detectors, eta=args.eta, nu=args.nu)
-        report = nonclassicality_report(spec, config, METHOD_ALIASES[args.method])
-        _emit(records.emit_nonclassicality(report, args.format), args.out)
-        return 0
-
-    if args.verb == "simulate":
-        spec = _load_state(args.state)
-        config = DetectorConfig(N=args.detectors, eta=args.eta, nu=args.nu)
-        samples = simulate(
-            spec, config, trials=args.trials, seed=args.seed, workers=args.workers
-        )
-        _emit(records.samples_to_text(samples), args.out)
-        return 0
-
     if args.verb == "analyze":
         if args.bootstrap > 0 and args.seed is None:
             raise ValidationError("--seed is required when --bootstrap is requested")
@@ -234,14 +204,24 @@ def _run(args) -> int:
         _emit(records.emit_estimates(reports, args.format), args.out)
         return 0
 
-    # sweep
     spec = _load_state(args.state)
     config = DetectorConfig(N=args.detectors, eta=args.eta, nu=args.nu)
-    grid = _sweep_grid(args)
-    rows = run_sweep(
-        spec, config, args.sweep_axis, grid, METHOD_ALIASES[args.method]
-    )
-    _emit(records.emit_sweep(args.sweep_axis, rows, args.format), args.out)
+    if args.verb == "simulate":
+        samples = simulate(
+            spec, config, trials=args.trials, seed=args.seed, workers=args.workers
+        )
+        _emit(records.samples_to_text(samples), args.out)
+        return 0
+    method = METHOD_ALIASES[args.method]
+    if args.verb == "dist":
+        text = records.emit_distribution(click_distribution(spec, config, method), args.format)
+    elif args.verb == "qb":
+        report = nonclassicality_report(spec, config, method)
+        text = records.emit_nonclassicality(report, args.format)
+    else:
+        rows = run_sweep(spec, config, args.sweep_axis, _sweep_grid(args), method)
+        text = records.emit_sweep(args.sweep_axis, rows, args.format)
+    _emit(text, args.out)
     return 0
 
 

@@ -46,7 +46,15 @@ import numpy as np
 
 from .errors import DegenerateMean, NumericalInstability, ValidationError
 from .laws import binomial_pmf, law_moments
-from .states import MAX_NMAX, StateSpec, _gf, make_distribution, state_moments
+from .states import (
+    MAX_NMAX,
+    UNIT_INTERVAL,
+    StateSpec,
+    _gf,
+    checked_real,
+    make_distribution,
+    state_moments,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -66,24 +74,37 @@ LOG_SPACE_N = 60
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Array size N, quantum efficiency eta, dark-count parameter nu."""
+    """Array size N, quantum efficiency eta, dark-count parameter nu.
+
+    Each value is checked when the config is built, by the same number rule
+    as a state's fields (``states.checked_real``), and stored normalized: N
+    as an int, eta and nu as floats."""
 
     N: int
     eta: float
     nu: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.N, bool) or self.N != int(self.N) or not (1 <= self.N <= MAX_DETECTORS):
-            raise ValidationError(
-                f"config.N: must be an integer in [1, {MAX_DETECTORS}], got {self.N!r}"
-            )
-        object.__setattr__(self, "N", int(self.N))
-        if not (math.isfinite(self.eta) and 0.0 <= self.eta <= 1.0):
-            raise ValidationError(f"config.eta: must lie in [0, 1], got {self.eta!r}")
-        if not (math.isfinite(self.nu) and 0.0 <= self.nu <= MAX_DARK_PARAMETER):
-            raise ValidationError(
-                f"config.nu: must lie in [0, {MAX_DARK_PARAMETER}], got {self.nu!r}"
-            )
+        object.__setattr__(self, "N", _detector_count(self.N, "config.N"))
+        object.__setattr__(self, "eta", checked_real(self.eta, "config.eta", 0.0, 1.0, UNIT_INTERVAL))
+        object.__setattr__(
+            self, "nu", checked_real(self.nu, "config.nu", 0.0, MAX_DARK_PARAMETER, _NU_RULE)
+        )
+
+
+_NU_RULE = f"must lie in [0, {MAX_DARK_PARAMETER}]"
+_N_RULE = f"must be an integer in [1, {MAX_DETECTORS}]"
+
+
+def _detector_count(N: object, path: str) -> int:
+    """The N rule of DetectorConfig and binomial_reference: ``checked_real``
+    with an integral value in [1, MAX_DETECTORS], returned as an int."""
+    if type(N) is int and 1 <= N <= MAX_DETECTORS:  # the common case, 4x faster
+        return N
+    count = checked_real(N, path, 1.0, MAX_DETECTORS, _N_RULE)
+    if not count.is_integer():
+        raise ValidationError(f"{path}: {_N_RULE}, got {N!r}")
+    return int(count)
 
 
 @dataclass(frozen=True)
@@ -335,11 +356,8 @@ def binomial_reference(N: int, p: float) -> ClickDistribution:
     """Binomial click law C(N,k) p^k (1-p)^{N-k}; the Q_B = 0 reference."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"binomial parameter must lie in [0, 1], got {p!r}")
-    if isinstance(N, bool) or N != int(N) or not (1 <= N <= MAX_DETECTORS):
-        raise ValidationError(
-            f"N must be an integer in [1, {MAX_DETECTORS}], got {N!r}"
-        )
-    return ClickDistribution(int(N), binomial_pmf(int(N), p))
+    N = _detector_count(N, "N")
+    return ClickDistribution(N, binomial_pmf(N, p))
 
 
 def click_moments(dist: ClickDistribution) -> tuple[float, float]:
@@ -373,14 +391,19 @@ def q_from_moments(mean, variance, statistic: str, N=None):
 
 def q_value(mean: float, variance: float, statistic: str, N: int | None = None) -> float:
     """``q_from_moments`` for one mean and variance; DegenerateMean where it
-    is undefined. Plain float arithmetic: on one value numpy takes about
-    3 us against 0.3 us, and a sweep point, about 0.1 ms, needs two values."""
+    is undefined, and exactly 0 for Q_B at N = 1, where every click law is a
+    Bernoulli law (the sample estimators keep the formula: their unbiased
+    variance makes Q_B = 1/(n - 1) there). Plain float arithmetic: on one
+    value numpy takes about 3 us against 0.3 us, and a sweep point, about
+    0.1 ms, needs two values."""
     if not _defined(mean, statistic, N):
         if statistic == "q_b":
             raise DegenerateMean(
                 f"click mean {mean!r} is within {DEGENERATE_MEAN_TOL} of the boundary of [0, {N}]"
             )
         raise DegenerateMean(f"mean count {mean!r} below {DEGENERATE_MEAN_TOL}")
+    if statistic == "q_b" and N == 1:
+        return 0.0  # one detector's clicks are Bernoulli: variance = mean (1 - mean)
     return _q_formula(mean, variance, statistic, N)
 
 

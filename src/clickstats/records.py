@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -247,15 +246,7 @@ def samples_from_text(text: str) -> ClickSampleSet:
     config_echo = None
     if "config" in meta:
         raw_cfg = _read_json(meta["config"], "preamble config", ("N", "eta", "nu"))
-        if not all(
-            (isinstance(v, int) and not isinstance(v, bool))
-            or (isinstance(v, float) and math.isfinite(v))
-            for v in raw_cfg.values()
-        ):
-            raise ParseError("preamble config values must be finite numbers")
-        config_echo = DetectorConfig(
-            N=raw_cfg["N"], eta=float(raw_cfg["eta"]), nu=float(raw_cfg["nu"])
-        )
+        config_echo = DetectorConfig(**raw_cfg)
 
     return ClickSampleSet(
         N=N,
@@ -268,13 +259,18 @@ def samples_from_text(text: str) -> ClickSampleSet:
     )
 
 
-def read_samples(path: str) -> ClickSampleSet:
+def read_text(path: str, what: str) -> str:
+    """The text of a user-named file; ParseError naming the file and the
+    cause when it cannot be opened, read or decoded."""
     try:
         with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read sample file {path!r}: {exc}")
-    return samples_from_text(text)
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what} {path!r}: {exc}") from None
+
+
+def read_samples(path: str) -> ClickSampleSet:
+    return samples_from_text(read_text(path, "sample file"))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +343,7 @@ def _read_json(text: str, what: str, fields: Sequence[str | None], many: bool = 
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond Python's digit limit
         raise ParseError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ParseError(f"{what} JSON nests too deeply to parse") from None

@@ -7,15 +7,19 @@ through its photon-number probabilities p_n and their generating function
 G(x) = sum_n p_n x^n.
 
 A StateSpec checks itself when it is built (``__post_init__``), so every
-spec that exists is valid: a bad field raises ValidationError naming its
-path, and no function downstream checks a spec again. Photon laws are cut
-where a closed-form tail bound falls below TAIL_TOLERANCE.
+spec that exists is valid: a bad field, of the wrong type or out of range,
+raises ValidationError naming its path, and no function downstream checks a
+spec again. ``STATE_FIELDS`` names the one field each kind carries, and
+``checked_real`` is the one rule for a real input, here and in the detector
+config. Photon laws are cut where a closed-form tail bound falls below
+TAIL_TOLERANCE.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
@@ -24,20 +28,43 @@ import numpy as np
 from .errors import ParseError, TruncationOverflow, ValidationError
 from .laws import law_moments, poisson_pmf
 
-STATE_KINDS = ("coherent", "thermal", "fock", "squeezed_vacuum", "mixture", "explicit")
+# The one field each kind carries, besides ``kind``.
+STATE_FIELDS = {
+    "coherent": "mean_photons",
+    "thermal": "mean_photons",
+    "fock": "n",
+    "squeezed_vacuum": "r",
+    "mixture": "components",
+    "explicit": "probs",
+}
+STATE_KINDS = tuple(STATE_FIELDS)
 
 MAX_NMAX = 4096
 MAX_MIXTURE_DEPTH = 8
 MIXTURE_WEIGHT_TOL = 1e-9
 EXPLICIT_SUM_TOL = 1e-6
 TAIL_TOLERANCE = 1e-12
+UNIT_INTERVAL = "must lie in [0, 1]"
+
+
+def checked_real(value: object, path: str, low: float, high: float, rule: str) -> float:
+    """The one rule for a real input: ``value`` as a float, if it is not a
+    bool or a string, lies inside the float range, is finite and within
+    [low, high]; otherwise ValidationError ``<path>: <rule>, got <value>``."""
+    try:
+        number = math.nan if isinstance(value, (bool, str)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not (math.isfinite(number) and low <= number <= high):
+        raise ValidationError(f"{path}: {rule}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
 class StateSpec:
     """Symbolic description of a quantum light state.
 
-    Exactly the fields relevant to ``kind`` are set:
+    A spec carries the one field ``STATE_FIELDS`` names for its ``kind``:
 
     - ``coherent`` / ``thermal``: ``mean_photons`` (mu >= 0)
     - ``fock``: ``n`` (photon number)
@@ -46,8 +73,11 @@ class StateSpec:
     - ``explicit``: ``probs`` as a tuple of probabilities over n = 0, 1, ...,
       summing to 1 within 1e-6
 
-    Construction raises ValidationError on any violated invariant, with the
-    field path rooted at ``path`` (``state`` by default), e.g.
+    Construction checks the field's type as well as its range, and stores
+    reals as floats (``checked_real``: a bool, a string or an integer beyond
+    the float range is rejected) and lists as tuples. It raises
+    ValidationError on any violated invariant, with the field path rooted at
+    ``path`` (``state`` by default), e.g.
     ``state.components[0].state.mean_photons``. Mixtures nest at most
     MAX_MIXTURE_DEPTH levels deep. Instances are frozen and hashable so
     that derived tables (truncated distributions, sampling CDFs) can be
@@ -66,93 +96,72 @@ class StateSpec:
 
     @staticmethod
     def coherent(mean_photons: float) -> "StateSpec":
-        return StateSpec(kind="coherent", mean_photons=float(mean_photons))
+        return StateSpec(kind="coherent", mean_photons=mean_photons)
 
     @staticmethod
     def thermal(mean_photons: float) -> "StateSpec":
-        return StateSpec(kind="thermal", mean_photons=float(mean_photons))
+        return StateSpec(kind="thermal", mean_photons=mean_photons)
 
     @staticmethod
     def fock(n: int) -> "StateSpec":
-        return StateSpec(kind="fock", n=int(n))
+        return StateSpec(kind="fock", n=n)
 
     @staticmethod
     def squeezed_vacuum(r: float) -> "StateSpec":
-        return StateSpec(kind="squeezed_vacuum", r=float(r))
+        return StateSpec(kind="squeezed_vacuum", r=r)
 
     @staticmethod
     def mixture(components: Iterable[tuple[float, "StateSpec"]]) -> "StateSpec":
-        comps = tuple((float(w), s) for w, s in components)
-        return StateSpec(kind="mixture", components=comps)
+        return StateSpec(kind="mixture", components=tuple(components))
 
     @staticmethod
     def explicit(probs: Iterable[float]) -> "StateSpec":
-        return StateSpec(kind="explicit", probs=tuple(float(p) for p in probs))
+        return StateSpec(kind="explicit", probs=tuple(probs))
 
     def __post_init__(self, path: str) -> None:
-        """Check every invariant, raising ValidationError with a field path.
+        """Check the kind's field, type and range, and store it normalized:
+        reals as floats, lists as tuples. ValidationError names the path.
 
         A mixture's components checked themselves when they were built, so
         a mixture checks only its weights, their sum and its nesting depth.
         """
-        if self.kind not in STATE_KINDS:
+        if self.kind not in STATE_KINDS:  # a tuple: an unhashable kind is no error
             raise ValidationError(
                 f"{path}.kind: {self.kind!r} is not one of {STATE_KINDS}"
             )
-        if self.kind in ("coherent", "thermal"):
-            mu = self.mean_photons
-            if mu is None or not math.isfinite(mu) or mu < 0:
+        name = STATE_FIELDS[self.kind]
+        value = getattr(self, name)
+        where = f"{path}.{name}"
+        if name == "n":
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValidationError(f"{where}: must be a nonnegative integer, got {value!r}")
+            value = int(value)
+        elif name in ("mean_photons", "r"):
+            value = checked_real(value, where, 0.0, math.inf, "must be a nonnegative real")
+        elif not isinstance(value, (list, tuple)) or not value:
+            raise ValidationError(f"{where}: must be a nonempty list")
+        elif name == "probs":
+            value = tuple(
+                checked_real(p, f"{where}[{i}]", 0.0, 1.0 + EXPLICIT_SUM_TOL, UNIT_INTERVAL)
+                for i, p in enumerate(value)
+            )
+            total = math.fsum(value)
+            if abs(total - 1.0) > EXPLICIT_SUM_TOL:
                 raise ValidationError(
-                    f"{path}.mean_photons: must be a nonnegative real, got {mu!r}"
+                    f"{where}: sum {total!r} deviates from 1 by more than {EXPLICIT_SUM_TOL}"
                 )
-        elif self.kind == "fock":
-            if self.n is None or isinstance(self.n, bool) or self.n != int(self.n) or self.n < 0:
-                raise ValidationError(
-                    f"{path}.n: must be a nonnegative integer, got {self.n!r}"
-                )
-        elif self.kind == "squeezed_vacuum":
-            if self.r is None or not math.isfinite(self.r) or self.r < 0:
-                raise ValidationError(
-                    f"{path}.r: must be a nonnegative real, got {self.r!r}"
-                )
-        elif self.kind == "mixture":
-            if not self.components:
-                raise ValidationError(f"{path}.components: must be a nonempty list")
-            total, levels = 0.0, 0
-            for i, (weight, sub) in enumerate(self.components):
-                if not math.isfinite(weight) or weight < 0 or weight > 1:
-                    raise ValidationError(
-                        f"{path}.components[{i}].weight: must lie in [0, 1], got {weight!r}"
-                    )
-                if not isinstance(sub, StateSpec):
-                    raise ValidationError(
-                        f"{path}.components[{i}].state: not a state spec"
-                    )
-                levels = max(levels, sub._levels + 1)
-                total += weight
+        else:
+            value = tuple(_checked_component(pair, f"{where}[{i}]") for i, pair in enumerate(value))
+            total = sum(weight for weight, _ in value)
+            levels = max(sub._levels for _, sub in value) + 1
             if levels > MAX_MIXTURE_DEPTH:
                 raise ValidationError(
                     f"{path}: mixture nesting depth exceeds {MAX_MIXTURE_DEPTH}"
                 )
             if abs(total - 1.0) > MIXTURE_WEIGHT_TOL:
-                raise ValidationError(
-                    f"{path}.components: weights sum to {total!r}, expected 1"
-                )
+                raise ValidationError(f"{where}: weights sum to {total!r}, expected 1")
             object.__setattr__(self, "_levels", levels)
-        else:  # explicit
-            if not self.probs:
-                raise ValidationError(f"{path}.probs: must be a nonempty list")
-            for i, p in enumerate(self.probs):
-                if not 0.0 <= p <= 1.0 + EXPLICIT_SUM_TOL:
-                    raise ValidationError(
-                        f"{path}.probs[{i}]: must lie in [0, 1], got {p!r}"
-                    )
-            total = math.fsum(self.probs)
-            if abs(total - 1.0) > EXPLICIT_SUM_TOL:
-                raise ValidationError(
-                    f"{path}.probs: sum {total!r} deviates from 1 by more than "
-                    f"{EXPLICIT_SUM_TOL}"
-                )
+        object.__setattr__(self, name, value)
 
     def flattened(self) -> list[tuple[float, "StateSpec"]]:
         """Collapse nested mixtures into a flat (weight, leaf-spec) list."""
@@ -166,27 +175,26 @@ class StateSpec:
 
     def to_dict(self) -> dict:
         """Schema-form dictionary, the same layout parse_state_spec accepts."""
-        if self.kind in ("coherent", "thermal"):
-            return {"kind": self.kind, "mean_photons": self.mean_photons}
-        if self.kind == "fock":
-            return {"kind": "fock", "n": self.n}
-        if self.kind == "squeezed_vacuum":
-            return {"kind": "squeezed_vacuum", "r": self.r}
-        if self.kind == "mixture":
-            return {
-                "kind": "mixture",
-                "components": [
-                    {"weight": w, "state": s.to_dict()} for w, s in self.components
-                ],
-            }
-        return {"kind": "explicit", "probs": list(self.probs)}
+        name = STATE_FIELDS[self.kind]
+        value = getattr(self, name)
+        if name == "components":
+            value = [{"weight": w, "state": s.to_dict()} for w, s in value]
+        return {"kind": self.kind, name: list(value) if name == "probs" else value}
+
+
+def _checked_component(pair, path: str) -> tuple[float, StateSpec]:
+    weight, sub = pair
+    weight = checked_real(weight, f"{path}.weight", 0.0, 1.0, UNIT_INTERVAL)
+    if not isinstance(sub, StateSpec):
+        raise ValidationError(f"{path}.state: not a state spec")
+    return weight, sub
 
 
 def parse_state_spec(text: str) -> StateSpec:
     """Parse the JSON state-spec schema into a validated StateSpec."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond Python's digit limit
         raise ParseError(f"state spec is not valid JSON: {exc}")
     except RecursionError:
         raise ParseError("state spec JSON nests too deeply to parse") from None
@@ -196,9 +204,11 @@ def parse_state_spec(text: str) -> StateSpec:
 def state_from_dict(data: object, path: str = "state", _depth: int = 0) -> StateSpec:
     """Build a StateSpec from its schema dictionary.
 
-    The JSON shape and types are checked here, and the nesting depth before
-    each recursion; every range rule is the spec's own, checked as each
-    spec is built, with the field path of this dictionary.
+    Only the JSON shape is checked here: an object with a known kind and
+    exactly its field, mixture components as objects with a weight and a
+    state, and the nesting depth before each recursion. Every value's type
+    and range is the spec's own rule, checked as each spec is built, with
+    the field path of this dictionary.
     """
     if _depth > MAX_MIXTURE_DEPTH:
         raise ValidationError(f"{path}: mixture nesting depth exceeds {MAX_MIXTURE_DEPTH}")
@@ -207,60 +217,23 @@ def state_from_dict(data: object, path: str = "state", _depth: int = 0) -> State
     kind = data.get("kind")
     if kind not in STATE_KINDS:
         raise ValidationError(f"{path}.kind: {kind!r} is not one of {STATE_KINDS}")
-    allowed = {
-        "coherent": {"kind", "mean_photons"},
-        "thermal": {"kind", "mean_photons"},
-        "fock": {"kind", "n"},
-        "squeezed_vacuum": {"kind", "r"},
-        "mixture": {"kind", "components"},
-        "explicit": {"kind", "probs"},
-    }[kind]
-    extra = set(data) - allowed
+    name = STATE_FIELDS[kind]
+    extra = set(data) - {"kind", name}
     if extra:
         raise ValidationError(f"{path}: unexpected fields {sorted(extra)} for kind {kind!r}")
-    missing = allowed - set(data)
-    if missing:
-        raise ValidationError(f"{path}: missing fields {sorted(missing)} for kind {kind!r}")
+    if name not in data:
+        raise ValidationError(f"{path}: missing fields [{name!r}] for kind {kind!r}")
+    value = data[name]
+    if name == "components" and isinstance(value, list):
+        value = [_component_from_dict(item, f"{path}.components[{i}]", _depth)
+                 for i, item in enumerate(value)]
+    return StateSpec(kind=kind, path=path, **{name: value})
 
-    if kind in ("coherent", "thermal"):
-        value = data["mean_photons"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{path}.mean_photons: expected a number")
-        return StateSpec(kind=kind, mean_photons=float(value), path=path)
-    if kind == "fock":
-        value = data["n"]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{path}.n: expected an integer")
-        return StateSpec(kind=kind, n=value, path=path)
-    if kind == "squeezed_vacuum":
-        value = data["r"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{path}.r: expected a number")
-        return StateSpec(kind=kind, r=float(value), path=path)
-    if kind == "mixture":
-        raw = data["components"]
-        if not isinstance(raw, list):
-            raise ValidationError(f"{path}.components: expected a list")
-        comps = []
-        for i, item in enumerate(raw):
-            if not isinstance(item, dict) or set(item) != {"weight", "state"}:
-                raise ValidationError(
-                    f"{path}.components[{i}]: expected an object with "
-                    "'weight' and 'state'"
-                )
-            weight = item["weight"]
-            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-                raise ValidationError(f"{path}.components[{i}].weight: expected a number")
-            sub = state_from_dict(item["state"], f"{path}.components[{i}].state", _depth + 1)
-            comps.append((float(weight), sub))
-        return StateSpec(kind=kind, components=tuple(comps), path=path)
-    raw = data["probs"]
-    if not isinstance(raw, list) or not raw:
-        raise ValidationError(f"{path}.probs: expected a nonempty list")
-    for i, p in enumerate(raw):
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise ValidationError(f"{path}.probs[{i}]: expected a number")
-    return StateSpec(kind=kind, probs=tuple(float(p) for p in raw), path=path)
+
+def _component_from_dict(item: object, path: str, depth: int) -> tuple[object, StateSpec]:
+    if not isinstance(item, dict) or set(item) != {"weight", "state"}:
+        raise ValidationError(f"{path}: expected an object with 'weight' and 'state'")
+    return item["weight"], state_from_dict(item["state"], f"{path}.state", depth + 1)
 
 
 @dataclass(frozen=True)

@@ -379,15 +379,7 @@ def samples_from_text_by_lines(text: str):
             raise ParseError("preamble config is not valid JSON")
         if not isinstance(raw_cfg, dict) or set(raw_cfg) != {"N", "eta", "nu"}:
             raise ParseError("preamble config must carry exactly N, eta, nu")
-        if not all(
-            (isinstance(v, int) and not isinstance(v, bool))
-            or (isinstance(v, float) and math.isfinite(v))
-            for v in raw_cfg.values()
-        ):
-            raise ParseError("preamble config values must be finite numbers")
-        config_echo = DetectorConfig(
-            N=raw_cfg["N"], eta=float(raw_cfg["eta"]), nu=float(raw_cfg["nu"])
-        )
+        config_echo = DetectorConfig(**raw_cfg)
     return ClickSampleSet(
         N=N, clicks=clicks, seed=seed, trials=len(rows),
         config_echo=config_echo, state_echo=state_echo, stream=stream,

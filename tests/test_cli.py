@@ -64,6 +64,102 @@ class TestParseStateSpec:
             parse_state_spec('{"kind":"fock","n":1,"mu":2.0}')
 
 
+def _mixture(*components):
+    return '{"kind":"mixture","components":[%s]}' % ",".join(
+        '{"weight":%s,"state":%s}' % pair for pair in components
+    )
+
+
+def _nested(depth):
+    text = FOCK1
+    for _ in range(depth):
+        text = _mixture(("1.0", text))
+    return text
+
+
+_KINDS_TEXT = "('coherent', 'thermal', 'fock', 'squeezed_vacuum', 'mixture', 'explicit')"
+
+
+class TestStateErrorMessages:
+    """Every malformed state exits 2 with one message naming its field path."""
+
+    @pytest.mark.parametrize("state,message", [
+        ('{"kind":"coherent","mean_photons":-1}',
+         "state.mean_photons: must be a nonnegative real, got -1"),
+        ('{"kind":"coherent","mean_photons":"2"}',
+         "state.mean_photons: must be a nonnegative real, got '2'"),
+        ('{"kind":"coherent","mean_photons":true}',
+         "state.mean_photons: must be a nonnegative real, got True"),
+        ('{"kind":"coherent","mean_photons":null}',
+         "state.mean_photons: must be a nonnegative real, got None"),
+        ('{"kind":"coherent","mean_photons":[1]}',
+         "state.mean_photons: must be a nonnegative real, got [1]"),
+        ('{"kind":"coherent","mean_photons":NaN}',
+         "state.mean_photons: must be a nonnegative real, got nan"),
+        ('{"kind":"coherent","mean_photons":1e400}',
+         "state.mean_photons: must be a nonnegative real, got inf"),
+        ('{"kind":"thermal","mean_photons":-0.5}',
+         "state.mean_photons: must be a nonnegative real, got -0.5"),
+        ('{"kind":"thermal","mean_photons":"x"}',
+         "state.mean_photons: must be a nonnegative real, got 'x'"),
+        ('{"kind":"thermal","mean_photons":false}',
+         "state.mean_photons: must be a nonnegative real, got False"),
+        ('{"kind":"fock","n":-2}', "state.n: must be a nonnegative integer, got -2"),
+        ('{"kind":"fock","n":1.5}', "state.n: must be a nonnegative integer, got 1.5"),
+        ('{"kind":"fock","n":2.0}', "state.n: must be a nonnegative integer, got 2.0"),
+        ('{"kind":"fock","n":"3"}', "state.n: must be a nonnegative integer, got '3'"),
+        ('{"kind":"fock","n":true}', "state.n: must be a nonnegative integer, got True"),
+        ('{"kind":"fock","n":null}', "state.n: must be a nonnegative integer, got None"),
+        ('{"kind":"squeezed_vacuum","r":-0.1}', "state.r: must be a nonnegative real, got -0.1"),
+        ('{"kind":"squeezed_vacuum","r":"0.5"}', "state.r: must be a nonnegative real, got '0.5'"),
+        ('{"kind":"squeezed_vacuum","r":false}', "state.r: must be a nonnegative real, got False"),
+        ('{"kind":"squeezed_vacuum","r":-Infinity}',
+         "state.r: must be a nonnegative real, got -inf"),
+        (_mixture(("1.5", FOCK1)), "state.components[0].weight: must lie in [0, 1], got 1.5"),
+        (_mixture(("-0.5", FOCK1), ("1.5", FOCK1)),
+         "state.components[0].weight: must lie in [0, 1], got -0.5"),
+        (_mixture(('"0.5"', FOCK1), ("0.5", FOCK1)),
+         "state.components[0].weight: must lie in [0, 1], got '0.5'"),
+        (_mixture(("true", FOCK1)), "state.components[0].weight: must lie in [0, 1], got True"),
+        (_mixture(("0.9", FOCK1)), "state.components: weights sum to 0.9, expected 1"),
+        (_mixture(("1.0", '{"kind":"fock","n":-1}')),
+         "state.components[0].state.n: must be a nonnegative integer, got -1"),
+        (_mixture(("1.0", '"fock"')), "state.components[0].state: expected an object, got str"),
+        ('{"kind":"mixture","components":[]}', "state.components: must be a nonempty list"),
+        ('{"kind":"mixture","components":{"weight":1}}', "state.components: must be a nonempty list"),
+        ('{"kind":"mixture","components":[{"weight":1.0}]}',
+         "state.components[0]: expected an object with 'weight' and 'state'"),
+        ('{"kind":"mixture","components":[[1.0,%s]]}' % FOCK1,
+         "state.components[0]: expected an object with 'weight' and 'state'"),
+        ('{"kind":"explicit","probs":[]}', "state.probs: must be a nonempty list"),
+        ('{"kind":"explicit","probs":0.5}', "state.probs: must be a nonempty list"),
+        ('{"kind":"explicit","probs":[0.5,"0.5"]}',
+         "state.probs[1]: must lie in [0, 1], got '0.5'"),
+        ('{"kind":"explicit","probs":[0.5,true]}', "state.probs[1]: must lie in [0, 1], got True"),
+        ('{"kind":"explicit","probs":[0.5,null]}', "state.probs[1]: must lie in [0, 1], got None"),
+        ('{"kind":"explicit","probs":[-0.5,1.5]}', "state.probs[0]: must lie in [0, 1], got -0.5"),
+        ('{"kind":"explicit","probs":[0.3,0.72]}',
+         "state.probs: sum 1.02 deviates from 1 by more than 1e-06"),
+        ('{"kind":"laser","mean_photons":1}', f"state.kind: 'laser' is not one of {_KINDS_TEXT}"),
+        ('{"mean_photons":1}', f"state.kind: None is not one of {_KINDS_TEXT}"),
+        ('{"kind":["fock"],"n":1}', f"state.kind: ['fock'] is not one of {_KINDS_TEXT}"),
+        ('{"kind":"coherent"}', "state: missing fields ['mean_photons'] for kind 'coherent'"),
+        ('{"kind":"coherent","mean_photons":1,"n":2}',
+         "state: unexpected fields ['n'] for kind 'coherent'"),
+        ('{"kind":"fock","n":1,"mu":2.0}', "state: unexpected fields ['mu'] for kind 'fock'"),
+        (_nested(9), "state" + ".components[0].state" * 9
+         + ": mixture nesting depth exceeds 8"),
+    ])
+    def test_exit_2_and_first_stderr_line(self, capsys, state, message):
+        assert main(["qb", "--state", state, "--detectors", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == f"error: ValidationError: {message}"
+
+    def test_depth_8_is_accepted(self, capsys):
+        assert main(["qb", "--state", _nested(8), "--detectors", "4"]) == 0
+
+
 class TestDistVerb:
     def test_coherent_binomial(self, tmp_path, capsys):
         out = tmp_path / "dist.csv"
@@ -388,6 +484,38 @@ class TestMalformedInputExitsCleanly:
             clickstats.state_from_dict(data)
 
 
+class TestUserNamedFiles:
+    """A user-named file that cannot be read, decoded or written exits 2
+    with a ParseError naming it."""
+
+    @pytest.mark.parametrize("verb,extra", [
+        ("dist", []), ("simulate", ["--trials", "10", "--seed", "1"]),
+    ])
+    def test_unwritable_out(self, tmp_path, verb, extra):
+        out = str(tmp_path / "missing" / "x.csv")
+        proc = _fresh_python(
+            "-m", "clickstats", verb, "--state", FOCK1, "--detectors", "4", *extra,
+            "--out", out,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(
+            f"error: ParseError: cannot write output file {out!r}: "
+        ), proc.stderr
+
+    @pytest.mark.parametrize("argv,what", [
+        (["qb", "--detectors", "4", "--state"], "state file"),
+        (["analyze", "--in"], "sample file"),
+    ])
+    def test_undecodable_input(self, tmp_path, capsys, argv, what):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff\xfe not utf-8\n")
+        assert main([*argv, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: ParseError: cannot read {what} {str(path)!r}: 'utf-8' codec"
+        )
+
+
 class TestSweepGridEnds:
     """Sweep ends that no grid can span exit 2 naming the flag, before numpy
     sees them, so no numpy warning is printed."""
@@ -409,7 +537,46 @@ class TestSweepGridEnds:
 
 
 class TestExtremeStateParameters:
-    """States whose photon law no cutoff can hold exit 1, never a traceback."""
+    """States whose photon law no cutoff can hold exit 1, and real fields
+    beyond the float range exit 2; never a traceback."""
+
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize("state,path", [
+        ('{"kind":"coherent","mean_photons":%s}' % BIG, "state.mean_photons"),
+        ('{"kind":"thermal","mean_photons":%s}' % BIG, "state.mean_photons"),
+        ('{"kind":"squeezed_vacuum","r":%s}' % BIG, "state.r"),
+        (_mixture((BIG, FOCK1)), "state.components[0].weight"),
+        ('{"kind":"explicit","probs":[0,%s]}' % BIG, "state.probs[1]"),
+    ], ids=["coherent", "thermal", "squeezed", "weight", "probs"])
+    def test_real_field_beyond_the_float_range(self, state, path):
+        proc = _fresh_python(
+            "-m", "clickstats", "dist", "--state", state, "--detectors", "4",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: ValidationError: {path}: must "), proc.stderr
+
+    def test_integer_beyond_the_digit_limit(self):
+        # Python's JSON reader refuses integer literals over 4300 digits.
+        proc = _fresh_python(
+            "-m", "clickstats", "qb", "--detectors", "4",
+            "--state", '{"kind":"coherent","mean_photons":1%s}' % ("0" * 5000),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ParseError: state spec is not valid JSON: "), proc.stderr
+
+    @pytest.mark.parametrize("echo,path", [
+        ('# config={"N":8,"eta":%s,"nu":0}' % BIG, "config.eta"),
+        ('# state={"kind":"coherent","mean_photons":%s}' % BIG, "state.mean_photons"),
+    ], ids=["config", "state"])
+    def test_record_echo_beyond_the_float_range(self, tmp_path, echo, path):
+        sample_file = tmp_path / "s.csv"
+        sample_file.write_text(f"# N=8\n{echo}\nclicks\n1\n2\n")
+        proc = _fresh_python("-m", "clickstats", "analyze", "--in", str(sample_file))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: ValidationError: {path}: must "), proc.stderr
 
     @pytest.mark.parametrize("state,method", [
         ('{"kind":"thermal","mean_photons":1e17}', "dp"),

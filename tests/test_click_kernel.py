@@ -53,6 +53,28 @@ class TestDetectorConfig:
             with pytest.raises(ValidationError):
                 DetectorConfig(**{"eta": 1.0, "nu": 0.0, **bad})
 
+    @pytest.mark.parametrize("bad,path", [
+        (dict(eta=10**400), "config.eta"), (dict(nu=10**400), "config.nu"),
+        (dict(N=10**400), "config.N"), (dict(N=math.inf), "config.N"),
+        (dict(N=math.nan), "config.N"), (dict(N="8"), "config.N"),
+        (dict(N=8.5), "config.N"), (dict(eta="0.5"), "config.eta"),
+        (dict(eta=True), "config.eta"), (dict(nu=None), "config.nu"),
+    ])
+    def test_one_number_rule(self, bad, path):
+        with pytest.raises(ValidationError, match=rf"^{path}: must "):
+            DetectorConfig(**{"N": 8, "eta": 1.0, "nu": 0.0, **bad})
+
+    def test_values_are_stored_normalized(self):
+        config = DetectorConfig(N=8.0, eta=1, nu=np.float64(0.5))
+        assert (type(config.N), type(config.eta), type(config.nu)) == (int, float, float)
+        assert config == DetectorConfig(N=8, eta=1.0, nu=0.5)
+
+    def test_binomial_reference_shares_the_n_rule(self):
+        assert binomial_reference(4.0, 0.5).N == 4
+        for N in (0, 1025, 2.5, math.inf, "4", True):
+            with pytest.raises(ValidationError, match=r"^N: must be an integer in \[1, 1024\]"):
+                binomial_reference(N, 0.5)
+
 
 class TestOccupancy:
     def test_no_balls(self):
@@ -419,6 +441,20 @@ class TestQbParameter:
     def test_single_detector_is_always_binomial(self, spec):
         dist = click_distribution(spec, DetectorConfig(N=1, eta=0.6, nu=0.05))
         assert abs(qb_parameter(dist)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec.coherent(2.0), StateSpec.thermal(1.5), StateSpec.fock(3),
+        StateSpec.squeezed_vacuum(0.8), StateSpec.explicit([0.2, 0.3, 0.5]),
+        StateSpec.mixture([(0.4, StateSpec.fock(2)), (0.6, StateSpec.thermal(0.5))]),
+    ], ids=lambda spec: spec.kind)
+    def test_single_detector_q_b_is_exactly_zero(self, spec):
+        from clickstats.cli import run_sweep
+
+        config = DetectorConfig(N=1, eta=0.7, nu=0.05)
+        assert nonclassicality_report(spec, config).q_b == 0.0
+        assert qb_parameter(click_distribution(spec, config)) == 0.0
+        rows = run_sweep(spec, config, "eta", np.array([0.2, 0.5, 0.7]))
+        assert [row[1] for row in rows] == [0.0, 0.0, 0.0]
 
     def test_floor(self):
         # zero click variance drives Q_B to its floor of -1

@@ -2,7 +2,9 @@
 
 Every ``clickstats ...`` command in the README's ``sh`` blocks, with ``\\``
 continuations joined, runs in order in one temporary directory as a fresh
-``python -m clickstats`` process, and the "Library usage" block is executed.
+``python -m clickstats`` process, the "Library usage" block is executed, and
+every state of the ``json`` block parses, covers the kinds of STATE_FIELDS
+and survives a round trip through ``to_dict``.
 """
 
 import os
@@ -15,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import clickstats
-from clickstats import qb_parameter
+from clickstats import qb_parameter, state_from_dict
+from clickstats.states import STATE_FIELDS, parse_state_spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(clickstats.__file__).resolve().parents[1])
@@ -56,3 +59,16 @@ def test_library_usage_block():
     namespace = {}
     exec(block, namespace)
     assert qb_parameter(namespace["dist"]) == pytest.approx(-7 / 15, abs=1e-12)
+
+
+def _readme_states() -> list[str]:
+    """The states of the ``json`` block: each starts a line with ``{``."""
+    (block,) = _blocks("json")
+    return re.split(r"\n(?=\{)", block.strip())
+
+
+def test_json_block_states_cover_the_catalog():
+    specs = [parse_state_spec(text) for text in _readme_states()]
+    assert {spec.kind for spec in specs} == set(STATE_FIELDS)
+    for spec in specs:
+        assert state_from_dict(spec.to_dict()) == spec

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,48 @@ class TestValidation:
             StateSpec(kind="fock", n=-2)
         with pytest.raises(ValidationError):
             StateSpec(kind="laser")
+
+    BEYOND_FLOATS = 10**400
+
+    @pytest.mark.parametrize("build,path", [
+        (lambda big: StateSpec.coherent(big), "state.mean_photons"),
+        (lambda big: StateSpec.thermal(big), "state.mean_photons"),
+        (lambda big: StateSpec.squeezed_vacuum(big), "state.r"),
+        (lambda big: StateSpec.mixture([(big, StateSpec.fock(1))]),
+         "state.components[0].weight"),
+        (lambda big: StateSpec.explicit([0.0, big]), "state.probs[1]"),
+    ], ids=["coherent", "thermal", "squeezed", "weight", "probs"])
+    def test_integer_beyond_the_float_range(self, build, path):
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: must ")):
+            build(self.BEYOND_FLOATS)
+
+    @pytest.mark.parametrize("spec,message", [
+        (dict(kind="coherent", mean_photons="2"),
+         "state.mean_photons: must be a nonnegative real, got '2'"),
+        (dict(kind="thermal", mean_photons=True),
+         "state.mean_photons: must be a nonnegative real, got True"),
+        (dict(kind="squeezed_vacuum"), "state.r: must be a nonnegative real, got None"),
+        (dict(kind="fock", n=2.0), "state.n: must be a nonnegative integer, got 2.0"),
+        (dict(kind="fock", n=False), "state.n: must be a nonnegative integer, got False"),
+        (dict(kind="explicit", probs=0.5), "state.probs: must be a nonempty list"),
+    ])
+    def test_field_types_are_checked_at_construction(self, spec, message):
+        with pytest.raises(ValidationError) as info:
+            StateSpec(**spec)
+        assert str(info.value) == message
+
+    def test_reals_are_stored_as_floats_and_lists_as_tuples(self):
+        spec = StateSpec.mixture([(1, StateSpec.coherent(2))])
+        ((weight, leaf),) = spec.components
+        assert type(weight) is float and type(leaf.mean_photons) is float
+        assert spec == state_from_dict(
+            {"kind": "mixture", "components": [
+                {"weight": 1.0, "state": {"kind": "coherent", "mean_photons": 2.0}}]}
+        )
+        assert type(StateSpec.fock(np.int64(3)).n) is int
+        explicit = StateSpec(kind="explicit", probs=[1, 0])
+        assert explicit.probs == (1.0, 0.0) and hash(explicit) == hash(StateSpec.explicit([1.0, 0.0]))
+        assert explicit.to_dict() == {"kind": "explicit", "probs": [1.0, 0.0]}
 
     def test_no_validate_method(self):
         assert not hasattr(StateSpec, "validate")
