@@ -45,7 +45,7 @@ def _load_state(arg: str) -> StateSpec:
     return parse_state_spec(text)
 
 
-def _add_state_config_args(parser: argparse.ArgumentParser, methods: bool = True) -> None:
+def _add_state_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--state", required=True,
         help="state spec: inline JSON or a path to a JSON file",
@@ -56,11 +56,13 @@ def _add_state_config_args(parser: argparse.ArgumentParser, methods: bool = True
     )
     parser.add_argument("--eta", type=float, default=1.0, help="quantum efficiency")
     parser.add_argument("--nu", type=float, default=0.0, help="dark-count parameter")
-    if methods:
-        parser.add_argument(
-            "--method", choices=tuple(METHOD_ALIASES), default="auto",
-            help="gf (generating function, leaf by leaf), dp (occupancy recurrence), or auto",
-        )
+
+
+def _add_method_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--method", choices=tuple(METHOD_ALIASES), default="auto",
+        help="gf (generating function, leaf by leaf), dp (occupancy recurrence), or auto",
+    )
 
 
 def _add_output_args(parser: argparse.ArgumentParser, formats: bool = True) -> None:
@@ -84,14 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("dist", help="exact click-count distribution")
     _add_state_config_args(p_dist)
+    _add_method_arg(p_dist)
     _add_output_args(p_dist)
 
     p_qb = sub.add_parser("qb", help="Q_B / Q_M nonclassicality report")
     _add_state_config_args(p_qb)
+    _add_method_arg(p_qb)
     _add_output_args(p_qb)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo click record")
-    _add_state_config_args(p_sim, methods=False)
+    _add_state_config_args(p_sim)
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
@@ -110,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="scan one axis and tabulate Q_B / Q_M")
     _add_state_config_args(p_sw)
+    _add_method_arg(p_sw)
     p_sw.add_argument("--sweep-axis", choices=SWEEP_AXES, required=True)
     p_sw.add_argument("--from", dest="sweep_from", type=float, required=True)
     p_sw.add_argument("--to", dest="sweep_to", type=float, required=True)

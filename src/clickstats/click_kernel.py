@@ -99,8 +99,6 @@ _N_RULE = f"must be an integer in [1, {MAX_DETECTORS}]"
 def _detector_count(N: object, path: str) -> int:
     """The N rule of DetectorConfig and binomial_reference: ``checked_real``
     with an integral value in [1, MAX_DETECTORS], returned as an int."""
-    if type(N) is int and 1 <= N <= MAX_DETECTORS:  # the common case, 4x faster
-        return N
     count = checked_real(N, path, 1.0, MAX_DETECTORS, _N_RULE)
     if not count.is_integer():
         raise ValidationError(f"{path}: {_N_RULE}, got {N!r}")

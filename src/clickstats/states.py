@@ -48,13 +48,16 @@ UNIT_INTERVAL = "must lie in [0, 1]"
 
 
 def checked_real(value: object, path: str, low: float, high: float, rule: str) -> float:
-    """The one rule for a real input: ``value`` as a float, if it is not a
-    bool or a string, lies inside the float range, is finite and within
-    [low, high]; otherwise ValidationError ``<path>: <rule>, got <value>``."""
-    try:
-        number = math.nan if isinstance(value, (bool, str)) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
+    """The one rule for a real input: ``value`` as a float, if it is a real
+    number (``numbers.Real``) other than a bool, lies inside the float range,
+    is finite and within [low, high]; otherwise ValidationError
+    ``<path>: <rule>, got <value>``. Text (str, bytes) is never a number."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
     if not (math.isfinite(number) and low <= number <= high):
         raise ValidationError(f"{path}: {rule}, got {value!r}")
     return number
@@ -74,8 +77,8 @@ class StateSpec:
       summing to 1 within 1e-6
 
     Construction checks the field's type as well as its range, and stores
-    reals as floats (``checked_real``: a bool, a string or an integer beyond
-    the float range is rejected) and lists as tuples. It raises
+    reals as floats (``checked_real``: anything but a real number, a bool, or
+    an integer beyond the float range is rejected) and lists as tuples. It raises
     ValidationError on any violated invariant, with the field path rooted at
     ``path`` (``state`` by default), e.g.
     ``state.components[0].state.mean_photons``. Mixtures nest at most

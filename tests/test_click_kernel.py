@@ -59,6 +59,8 @@ class TestDetectorConfig:
         (dict(N=math.nan), "config.N"), (dict(N="8"), "config.N"),
         (dict(N=8.5), "config.N"), (dict(eta="0.5"), "config.eta"),
         (dict(eta=True), "config.eta"), (dict(nu=None), "config.nu"),
+        (dict(N=b"8"), "config.N"), (dict(eta=b"1"), "config.eta"),
+        (dict(nu=bytearray(b"0")), "config.nu"), (dict(eta=memoryview(b"1")), "config.eta"),
     ])
     def test_one_number_rule(self, bad, path):
         with pytest.raises(ValidationError, match=rf"^{path}: must "):

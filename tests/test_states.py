@@ -184,6 +184,11 @@ class TestValidation:
         (dict(kind="fock", n=2.0), "state.n: must be a nonnegative integer, got 2.0"),
         (dict(kind="fock", n=False), "state.n: must be a nonnegative integer, got False"),
         (dict(kind="explicit", probs=0.5), "state.probs: must be a nonempty list"),
+        (dict(kind="coherent", mean_photons=b"2"),
+         "state.mean_photons: must be a nonnegative real, got b'2'"),
+        (dict(kind="squeezed_vacuum", r=bytearray(b"0.5")),
+         "state.r: must be a nonnegative real, got bytearray(b'0.5')"),
+        (dict(kind="explicit", probs=[b"1"]), "state.probs[0]: must lie in [0, 1], got b'1'"),
     ])
     def test_field_types_are_checked_at_construction(self, spec, message):
         with pytest.raises(ValidationError) as info:
