@@ -47,13 +47,19 @@ TAIL_TOLERANCE = 1e-12
 UNIT_INTERVAL = "must lie in [0, 1]"
 
 
+# Concrete types, not numbers.Real: the ABC check costs about 0.5 us per field,
+# and a sweep point rebuilds a spec or config.
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
 def checked_real(value: object, path: str, low: float, high: float, rule: str) -> float:
-    """The one rule for a real input: ``value`` as a float, if it is a real
-    number (``numbers.Real``) other than a bool, lies inside the float range,
-    is finite and within [low, high]; otherwise ValidationError
-    ``<path>: <rule>, got <value>``. Text (str, bytes) is never a number."""
+    """The one rule for a real input: ``value`` as a float, if it is a
+    Python or numpy int or float other than a bool, lies inside the float
+    range, is finite and within [low, high]; otherwise ValidationError
+    ``<path>: <rule>, got <value>``. Text (str, bytes, any buffer), which
+    ``float()`` would parse, is never a number."""
     number = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if isinstance(value, _REAL_TYPES) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:
