@@ -30,7 +30,7 @@ from .click_kernel import (
 from .errors import DomainError, ParseError, ValidationError
 from .estimators import mandel_q_estimate, qb_estimate
 from .simulator import simulate
-from .states import STATE_FIELDS, StateSpec, parse_state_spec
+from .states import KINDS, StateSpec, parse_state_spec
 
 SWEEP_AXES = ("eta", "nu", "N", "mean_photons", "r")
 METHOD_ALIASES = {"gf": "generating_function", "dp": "occupancy_dp", "auto": "auto"}
@@ -162,8 +162,8 @@ def _sweep_point(
         value = round(value)
     if axis in ("eta", "nu", "N"):
         return spec, dataclasses.replace(config, **{axis: value})
-    if STATE_FIELDS[spec.kind] != axis:
-        kinds = " or ".join(kind for kind, name in STATE_FIELDS.items() if name == axis)
+    if KINDS[spec.kind].field != axis:
+        kinds = " or ".join(kind for kind, row in KINDS.items() if row.field == axis)
         raise ValidationError(f"axis {axis} requires a {kinds} state, got {spec.kind!r}")
     return dataclasses.replace(spec, **{axis: value}), config
 

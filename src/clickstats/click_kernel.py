@@ -10,10 +10,12 @@ detector, which commute with T, so b is the start vector of every chain.
 ``_chain`` runs that chain, sum_n w_n T^n b, for any photon-number weights.
 Two routes evaluate c:
 
-- Path A ("generating_function"), leaf by leaf (``_leaf_law``): exact forms
-  for coherent (a binomial law) and thermal (one bidiagonal solve) light,
-  and the chain over the photon law for Fock states (a one-hot law) and
-  explicit laws; squeezed vacuum and laws beyond MAX_NMAX photons take the
+- Path A ("generating_function"), leaf by leaf: ``_LEAF_LAWS`` maps each
+  pure kind of ``states.KINDS`` to its click law, which is the one per-kind
+  quantity this module owns. Coherent light gives a binomial law, thermal
+  light one bidiagonal solve, and Fock states and explicit laws the chain
+  over their photon law. Squeezed vacuum, and a photon law whose column
+  raises TruncationOverflow (beyond MAX_NMAX photons), take the
   inclusion-exclusion sum
   c_k = C(N,k) sum_j C(k,j) (-1)^j exp(-nu(N-k+j)) G(1 - eta(N-k+j)/N),
   which cancels catastrophically for large N at small eta.
@@ -44,13 +46,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMean, NumericalInstability, ValidationError
+from .errors import DegenerateMean, NumericalInstability, TruncationOverflow, ValidationError
 from .laws import binomial_pmf, law_moments
 from .states import (
-    MAX_NMAX,
+    KINDS,
     UNIT_INTERVAL,
     StateSpec,
-    _gf,
     checked_real,
     make_distribution,
     state_moments,
@@ -107,7 +108,10 @@ def _detector_count(N: object, path: str) -> int:
 
 @dataclass(frozen=True)
 class ClickDistribution:
-    """Probabilities c_0..c_N of observing k clicks on an N-detector array."""
+    """Probabilities c_0..c_N of observing k clicks on an N-detector array.
+
+    Every entry is finite; entries down to -1e-12 are round-off and clip to
+    0, and the sum is 1 within 1e-9 (NumericalInstability otherwise)."""
 
     N: int
     probs: np.ndarray
@@ -118,7 +122,9 @@ class ClickDistribution:
             raise ValueError(
                 f"click probabilities must have length N+1={self.N + 1}, got {arr.shape}"
             )
-        low = float(arr.min(initial=0.0))
+        low = float(arr.min(initial=0.0))  # NaN if any entry is NaN
+        if math.isnan(low):  # NaN passes every comparison; -inf and +inf fail the two below
+            raise NumericalInstability("click probability nan is not finite")
         if low < -CLAMP_TOL:
             raise NumericalInstability(
                 f"click probability {low!r} below the clamping tolerance -{CLAMP_TOL}"
@@ -146,16 +152,6 @@ class NonclassicalityReport:
     def __post_init__(self):
         if self.q_b < -1.0 - 1e-9:
             raise ValueError(f"q_b={self.q_b!r} violates the variance floor of -1")
-
-
-def _silent_set_factors(leaf: StateSpec, config: DetectorConfig) -> np.ndarray:
-    """P(a fixed set of s detectors is silent) for s = 0..N."""
-    N, eta, nu = config.N, config.eta, config.nu
-    g = np.empty(N + 1)
-    for s in range(N + 1):
-        x = max(0.0, 1.0 - eta * s / N)
-        g[s] = math.exp(-nu * s) * _gf(leaf, x)
-    return g
 
 
 def _alternating_sum(g: np.ndarray, N: int) -> np.ndarray:
@@ -240,25 +236,38 @@ def _chain(weights, start: np.ndarray, N: int, eta: float) -> np.ndarray:
     return acc
 
 
-def _leaf_law(leaf: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.ndarray:
-    """G(T) b for one pure leaf.
+def _inclusion_exclusion(leaf: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.ndarray:
+    """The alternating sum over g_s = exp(-nu s) G(1 - eta s/N), the
+    probability that a fixed set of s detectors stays silent; it may cancel
+    badly for large N."""
+    N, eta, nu = config.N, config.eta, config.nu
+    gf = KINDS[leaf.kind].gf
+    g = np.array([math.exp(-nu * s) * gf(leaf, max(0.0, 1.0 - eta * s / N)) for s in range(N + 1)])
+    return _alternating_sum(g, N)
 
-    Coherent, thermal, Fock and explicit leaves have exact forms free of
-    cancellation: the binomial law with p = 1 - exp(-nu - eta mu / N), the
-    thermal solve, and the chain over the photon law (one-hot for a Fock
-    state) of at most MAX_NMAX photons. Squeezed vacuum and longer laws take
-    the inclusion-exclusion sum, which may cancel badly for large N.
-    """
-    N, eta = config.N, config.eta
-    if leaf.kind == "coherent":
-        return binomial_pmf(N, -math.expm1(-config.nu - eta * leaf.mean_photons / N))
-    if leaf.kind == "thermal":
-        return _thermal_solve(leaf.mean_photons, b, N, eta)
-    if (leaf.kind == "fock" and leaf.n <= MAX_NMAX) or (
-        leaf.kind == "explicit" and len(leaf.probs) <= MAX_NMAX + 1
-    ):
-        return _chain(make_distribution(leaf).probs, b, N, eta)
-    return _alternating_sum(_silent_set_factors(leaf, config), N)
+
+def _photon_chain(leaf: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.ndarray:
+    """The chain over the leaf's photon law, or the inclusion-exclusion sum
+    where that law exceeds its cap."""
+    try:
+        probs = make_distribution(leaf).probs
+    except TruncationOverflow:
+        return _inclusion_exclusion(leaf, config, b)
+    return _chain(probs, b, config.N, config.eta)
+
+
+# G(T) b for each pure leaf kind: the binomial law with
+# p = 1 - exp(-nu - eta mu / N), the thermal solve, the chain over the
+# photon law (one-hot for a Fock state), and the inclusion-exclusion sum.
+_LEAF_LAWS = {
+    "coherent": lambda leaf, config, b: binomial_pmf(
+        config.N, -math.expm1(-config.nu - config.eta * leaf.mean_photons / config.N)
+    ),
+    "thermal": lambda leaf, config, b: _thermal_solve(leaf.mean_photons, b, config.N, config.eta),
+    "fock": _photon_chain,
+    "squeezed_vacuum": _inclusion_exclusion,
+    "explicit": _photon_chain,
+}
 
 
 def _path_a(spec: StateSpec, config: DetectorConfig) -> np.ndarray:
@@ -268,7 +277,7 @@ def _path_a(spec: StateSpec, config: DetectorConfig) -> np.ndarray:
     raw = np.zeros(config.N + 1)
     for weight, leaf in spec.flattened():
         if weight:
-            raw += weight * _leaf_law(leaf, config, b)
+            raw += weight * _LEAF_LAWS[leaf.kind](leaf, config, b)
     return raw
 
 
@@ -351,9 +360,10 @@ def occupancy_distribution(m: int, N: int) -> np.ndarray:
 
 
 def binomial_reference(N: int, p: float) -> ClickDistribution:
-    """Binomial click law C(N,k) p^k (1-p)^{N-k}; the Q_B = 0 reference."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"binomial parameter must lie in [0, 1], got {p!r}")
+    """Binomial click law C(N,k) p^k (1-p)^{N-k}; the Q_B = 0 reference.
+
+    p and N take the number rule of every real input (``checked_real``)."""
+    p = checked_real(p, "p", 0.0, 1.0, UNIT_INTERVAL)
     N = _detector_count(N, "N")
     return ClickDistribution(N, binomial_pmf(N, p))
 

@@ -247,6 +247,10 @@ def samples_from_text(text: str) -> ClickSampleSet:
     if "config" in meta:
         raw_cfg = _read_json(meta["config"], "preamble config", ("N", "eta", "nu"))
         config_echo = DetectorConfig(**raw_cfg)
+        if config_echo.N != N:
+            raise ParseError(
+                f"preamble config echoes N={config_echo.N}, but the preamble declares N={N}"
+            )
 
     return ClickSampleSet(
         N=N,

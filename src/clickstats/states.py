@@ -6,13 +6,20 @@ detector array sees downstream is phase insensitive, so a state enters only
 through its photon-number probabilities p_n and their generating function
 G(x) = sum_n p_n x^n.
 
+``KINDS`` holds one row per kind: the one field a spec of that kind carries
+and, for the five pure (leaf) kinds, its truncated photon law, its
+generating function and its exact photon moments. A mixture has the field
+alone: ``make_distribution``, ``generating_function`` and ``state_moments``
+sum the weighted leaf results over ``flattened()``. Only the photon-law
+column decides the MAX_NMAX cap. The click law of each leaf kind is the one
+per-kind quantity kept in ``click_kernel``, which this module cannot import.
+
 A StateSpec checks itself when it is built (``__post_init__``), so every
 spec that exists is valid: a bad field, of the wrong type or out of range,
 raises ValidationError naming its path, and no function downstream checks a
-spec again. ``STATE_FIELDS`` names the one field each kind carries, and
-``checked_real`` is the one rule for a real input, here and in the detector
-config. Photon laws are cut where a closed-form tail bound falls below
-TAIL_TOLERANCE.
+spec again. ``checked_real`` is the one rule for a real input, here and in
+the detector config. Photon laws are cut where a closed-form tail bound
+falls below TAIL_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -21,23 +28,12 @@ import json
 import math
 import numbers
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ParseError, TruncationOverflow, ValidationError
 from .laws import law_moments, poisson_pmf
-
-# The one field each kind carries, besides ``kind``.
-STATE_FIELDS = {
-    "coherent": "mean_photons",
-    "thermal": "mean_photons",
-    "fock": "n",
-    "squeezed_vacuum": "r",
-    "mixture": "components",
-    "explicit": "probs",
-}
-STATE_KINDS = tuple(STATE_FIELDS)
 
 MAX_NMAX = 4096
 MAX_MIXTURE_DEPTH = 8
@@ -73,7 +69,7 @@ def checked_real(value: object, path: str, low: float, high: float, rule: str) -
 class StateSpec:
     """Symbolic description of a quantum light state.
 
-    A spec carries the one field ``STATE_FIELDS`` names for its ``kind``:
+    A spec carries the one field its row of ``KINDS`` names for its ``kind``:
 
     - ``coherent`` / ``thermal``: ``mean_photons`` (mu >= 0)
     - ``fock``: ``n`` (photon number)
@@ -138,7 +134,7 @@ class StateSpec:
             raise ValidationError(
                 f"{path}.kind: {self.kind!r} is not one of {STATE_KINDS}"
             )
-        name = STATE_FIELDS[self.kind]
+        name = KINDS[self.kind].field
         value = getattr(self, name)
         where = f"{path}.{name}"
         if name == "n":
@@ -184,7 +180,7 @@ class StateSpec:
 
     def to_dict(self) -> dict:
         """Schema-form dictionary, the same layout parse_state_spec accepts."""
-        name = STATE_FIELDS[self.kind]
+        name = KINDS[self.kind].field
         value = getattr(self, name)
         if name == "components":
             value = [{"weight": w, "state": s.to_dict()} for w, s in value]
@@ -226,7 +222,7 @@ def state_from_dict(data: object, path: str = "state", _depth: int = 0) -> State
     kind = data.get("kind")
     if kind not in STATE_KINDS:
         raise ValidationError(f"{path}.kind: {kind!r} is not one of {STATE_KINDS}")
-    name = STATE_FIELDS[kind]
+    name = KINDS[kind].field
     extra = set(data) - {"kind", name}
     if extra:
         raise ValidationError(f"{path}: unexpected fields {sorted(extra)} for kind {kind!r}")
@@ -370,59 +366,13 @@ def _squeezed_probs(r: float, tol: float) -> tuple[np.ndarray, float]:
     return probs, float(tail_bound)
 
 
-def make_distribution(spec: StateSpec) -> PhotonNumberDistribution:
-    """Truncate a state's photon-number distribution to a tail mass of 1e-12.
-
-    The cutoff is the smallest one whose analytic tail bound falls below
-    TAIL_TOLERANCE, capped at MAX_NMAX = 4096 (TruncationOverflow beyond
-    that). Explicit distributions, which a spec holds to unit sum within
-    1e-6, are renormalized.
-    """
-    if spec.kind == "coherent":
-        probs, tail = _coherent_probs(spec.mean_photons, TAIL_TOLERANCE)
-    elif spec.kind == "thermal":
-        probs, tail = _thermal_probs(spec.mean_photons, TAIL_TOLERANCE)
-    elif spec.kind == "fock":
-        if spec.n > MAX_NMAX:
-            raise TruncationOverflow(f"fock n={spec.n} exceeds the cap {MAX_NMAX}")
-        probs = np.zeros(spec.n + 1)
-        probs[spec.n] = 1.0
-        tail = 0.0
-    elif spec.kind == "squeezed_vacuum":
-        probs, tail = _squeezed_probs(spec.r, TAIL_TOLERANCE)
-    elif spec.kind == "explicit":
-        raw = np.asarray(spec.probs, dtype=np.float64)
-        total = float(raw.sum())
-        if raw.size - 1 > MAX_NMAX:
-            raise TruncationOverflow(
-                f"explicit distribution length {raw.size} exceeds the cap {MAX_NMAX + 1}"
-            )
-        probs = raw / total
-        tail = 0.0
-    else:  # mixture
-        parts = [
-            (w, make_distribution(leaf)) for w, leaf in spec.flattened()
-        ]
-        n_max = max(p.n_max for _, p in parts)
-        probs = np.zeros(n_max + 1)
-        tail = 0.0
-        for w, part in parts:
-            probs[: part.probs.size] += w * part.probs
-            tail += w * part.tail_bound
-    return PhotonNumberDistribution(probs=probs, tail_bound=tail)
-
-
-def generating_function(spec: StateSpec, x: float) -> float:
-    """Evaluate G(x) = sum_n p_n x^n on [0, 1].
-
-    Closed forms: coherent exp(-mu(1-x)), thermal 1/(1+mu(1-x)), Fock x^n,
-    squeezed vacuum 1/(cosh r * sqrt(1 - x^2 tanh^2 r)). Mixtures evaluate
-    as the weight-sum over flattened components; explicit distributions as
-    a truncated polynomial.
-    """
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"generating function argument must lie in [0, 1], got {x!r}")
-    return _gf(spec, float(x))
+def _fock_probs(leaf: StateSpec) -> tuple[np.ndarray, float]:
+    """The one-hot law of a Fock state, up to the cap."""
+    if leaf.n > MAX_NMAX:
+        raise TruncationOverflow(f"fock n={leaf.n} exceeds the cap {MAX_NMAX}")
+    probs = np.zeros(leaf.n + 1)
+    probs[leaf.n] = 1.0
+    return probs, 0.0
 
 
 def _fock_n(leaf: StateSpec) -> float:
@@ -436,19 +386,113 @@ def _fock_n(leaf: StateSpec) -> float:
         ) from None
 
 
-def _gf(spec: StateSpec, x: float) -> float:
-    if spec.kind == "coherent":
-        return math.exp(-spec.mean_photons * (1.0 - x))
-    if spec.kind == "thermal":
-        return 1.0 / (1.0 + spec.mean_photons * (1.0 - x))
-    if spec.kind == "fock":
-        return x**_fock_n(spec)
-    if spec.kind == "squeezed_vacuum":
-        cosh_r, t = _squeezing(spec.r)
-        return 1.0 / (cosh_r * math.sqrt(1.0 - (x * t) ** 2))
-    if spec.kind == "mixture":
-        return math.fsum(w * _gf(leaf, x) for w, leaf in spec.flattened())
-    return polynomial_gf(np.asarray(spec.probs, dtype=np.float64), x)
+def _squeezed_gf(leaf: StateSpec, x: float) -> float:
+    cosh_r, t = _squeezing(leaf.r)
+    return 1.0 / (cosh_r * math.sqrt(1.0 - (x * t) ** 2))
+
+
+def _squeezed_moments(leaf: StateSpec) -> tuple[float, float]:
+    cosh_r, t = _squeezing(leaf.r)
+    s = (cosh_r * t) ** 2  # sinh^2 r
+    return s, 2.0 * s * (1.0 + s)
+
+
+def _explicit_law(leaf: StateSpec) -> np.ndarray:
+    """The explicit table renormalized, with no cap."""
+    raw = np.asarray(leaf.probs, dtype=np.float64)
+    return raw / raw.sum()
+
+
+def _explicit_probs(leaf: StateSpec) -> tuple[np.ndarray, float]:
+    if len(leaf.probs) - 1 > MAX_NMAX:
+        raise TruncationOverflow(
+            f"explicit distribution length {len(leaf.probs)} exceeds the cap {MAX_NMAX + 1}"
+        )
+    return _explicit_law(leaf), 0.0
+
+
+def _explicit_moments(leaf: StateSpec) -> tuple[float, float]:
+    mean, variance = law_moments(_explicit_law(leaf))
+    return float(mean), float(variance)
+
+
+class Kind(NamedTuple):
+    """One row of KINDS.
+
+    ``field`` is the one field a spec of the kind carries besides ``kind``.
+    A pure (leaf) kind also gives ``law(leaf) -> (probs, tail_bound)``, its
+    photon law cut at TAIL_TOLERANCE and capped at MAX_NMAX (the only place
+    that tests the cap), ``gf(leaf, x)``, its generating function on [0, 1],
+    and ``moments(leaf) -> (mean, variance)``, its exact photon moments with
+    no cap. A mixture has the field alone.
+    """
+
+    field: str
+    law: Callable[[StateSpec], tuple[np.ndarray, float]] | None = None
+    gf: Callable[[StateSpec, float], float] | None = None
+    moments: Callable[[StateSpec], tuple[float, float]] | None = None
+
+
+# Coherent: Poisson law, G = exp(-mu(1-x)), moments (mu, mu). Thermal:
+# geometric law, G = 1/(1+mu(1-x)), moments (mu, mu(1+mu)). Fock: one-hot
+# law, G = x^n, moments (n, 0). Squeezed vacuum: even-photon law,
+# G = 1/(cosh r sqrt(1 - x^2 tanh^2 r)), moments (s, 2s(1+s)) with
+# s = sinh^2 r. Explicit: the normalized table and its polynomial.
+KINDS = {
+    "coherent": Kind(
+        "mean_photons",
+        lambda leaf: _coherent_probs(leaf.mean_photons, TAIL_TOLERANCE),
+        lambda leaf, x: math.exp(-leaf.mean_photons * (1.0 - x)),
+        lambda leaf: (leaf.mean_photons, leaf.mean_photons),
+    ),
+    "thermal": Kind(
+        "mean_photons",
+        lambda leaf: _thermal_probs(leaf.mean_photons, TAIL_TOLERANCE),
+        lambda leaf, x: 1.0 / (1.0 + leaf.mean_photons * (1.0 - x)),
+        lambda leaf: (leaf.mean_photons, leaf.mean_photons * (1.0 + leaf.mean_photons)),
+    ),
+    "fock": Kind(
+        "n", _fock_probs, lambda leaf, x: x ** _fock_n(leaf), lambda leaf: (_fock_n(leaf), 0.0)
+    ),
+    "squeezed_vacuum": Kind(
+        "r", lambda leaf: _squeezed_probs(leaf.r, TAIL_TOLERANCE), _squeezed_gf, _squeezed_moments
+    ),
+    "mixture": Kind("components"),
+    "explicit": Kind(
+        "probs", _explicit_probs, lambda leaf, x: polynomial_gf(leaf.probs, x), _explicit_moments
+    ),
+}
+STATE_KINDS = tuple(KINDS)
+
+
+def make_distribution(spec: StateSpec) -> PhotonNumberDistribution:
+    """Truncate a state's photon-number distribution to a tail mass of 1e-12.
+
+    The cutoff is the smallest one whose analytic tail bound falls below
+    TAIL_TOLERANCE, capped at MAX_NMAX = 4096 (TruncationOverflow beyond
+    that). Explicit distributions, which a spec holds to unit sum within
+    1e-6, are renormalized. A mixture's law and tail bound are the
+    weight-sums of its leaves'.
+    """
+    parts = [(w, KINDS[leaf.kind].law(leaf)) for w, leaf in spec.flattened()]
+    probs = np.zeros(max(leaf_probs.size for _, (leaf_probs, _) in parts))
+    tail = 0.0
+    for w, (leaf_probs, leaf_tail) in parts:
+        probs[: leaf_probs.size] += w * leaf_probs
+        tail += w * leaf_tail
+    return PhotonNumberDistribution(probs=probs, tail_bound=tail)
+
+
+def generating_function(spec: StateSpec, x: float) -> float:
+    """Evaluate G(x) = sum_n p_n x^n on [0, 1].
+
+    Each leaf kind has its closed form (``KINDS``); an explicit law is its
+    polynomial. A mixture is the weight-sum over its flattened leaves.
+    """
+    if not (0.0 <= x <= 1.0):
+        raise ValueError(f"generating function argument must lie in [0, 1], got {x!r}")
+    x = float(x)
+    return math.fsum(w * KINDS[leaf.kind].gf(leaf, x) for w, leaf in spec.flattened())
 
 
 def polynomial_gf(probs: Sequence[float] | np.ndarray, x: float) -> float:
@@ -465,33 +509,15 @@ def photon_moments(pnd: PhotonNumberDistribution) -> tuple[float, float]:
     return float(mean), float(variance)
 
 
-def _leaf_moments(leaf: StateSpec) -> tuple[float, float]:
-    if leaf.kind == "coherent":
-        return leaf.mean_photons, leaf.mean_photons
-    if leaf.kind == "thermal":
-        return leaf.mean_photons, leaf.mean_photons * (1.0 + leaf.mean_photons)
-    if leaf.kind == "fock":
-        return _fock_n(leaf), 0.0
-    if leaf.kind == "squeezed_vacuum":
-        cosh_r, t = _squeezing(leaf.r)
-        s = (cosh_r * t) ** 2  # sinh^2 r
-        return s, 2.0 * s * (1.0 + s)
-    probs = np.asarray(leaf.probs, dtype=np.float64)
-    mean, variance = law_moments(probs / probs.sum())
-    return float(mean), float(variance)
-
-
 def state_moments(spec: StateSpec) -> tuple[float, float]:
     """Exact mean and variance of a state's photon number, with no truncation.
 
-    Coherent (mu, mu), thermal (mu, mu (1 + mu)), Fock (n, 0), squeezed
-    vacuum (s, 2 s (1 + s)) with s = sinh^2 r, and an explicit law from its
-    normalized table. A mixture has mean m = sum w_i m_i and variance
-    sum w_i (v_i + (m_i - m)^2); leaves of zero weight are skipped. A
-    variance beyond the float range raises TruncationOverflow, as the
-    truncated law of such a state does.
+    Each leaf kind gives its own (``KINDS``). A mixture has mean
+    m = sum w_i m_i and variance sum w_i (v_i + (m_i - m)^2); leaves of zero
+    weight are skipped. A variance beyond the float range raises
+    TruncationOverflow, as the truncated law of such a state does.
     """
-    parts = [(w, *_leaf_moments(leaf)) for w, leaf in spec.flattened() if w]
+    parts = [(w, *KINDS[leaf.kind].moments(leaf)) for w, leaf in spec.flattened() if w]
     mean = sum(w * m for w, m, _ in parts)
     # Nonnegative terms, so a plain sum is good to a few ulps, and it gives
     # inf on overflow where math.fsum and ** raise.

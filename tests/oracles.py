@@ -313,8 +313,9 @@ def samples_from_text_by_lines(text: str):
 
     It walks every line and converts each click with ``int``, so it states
     the accepted grammar directly: stripped lines, blank lines and ``#``
-    lines skipped after the header, one integer per line. The only addition
-    is the ``stream`` preamble tag, an integer when present.
+    lines skipped after the header, one integer per line. The additions are
+    the ``stream`` preamble tag, an integer when present, and the rule that a
+    ``config`` echo repeats the preamble's N.
     """
     from clickstats import ClickSampleSet, DetectorConfig
     from clickstats.errors import InsufficientData, InvalidSample, ParseError
@@ -380,6 +381,8 @@ def samples_from_text_by_lines(text: str):
         if not isinstance(raw_cfg, dict) or set(raw_cfg) != {"N", "eta", "nu"}:
             raise ParseError("preamble config must carry exactly N, eta, nu")
         config_echo = DetectorConfig(**raw_cfg)
+        if config_echo.N != N:
+            raise ParseError("preamble config N differs from the preamble N")
     return ClickSampleSet(
         N=N, clicks=clicks, seed=seed, trials=len(rows),
         config_echo=config_echo, state_echo=state_echo, stream=stream,

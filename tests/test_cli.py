@@ -455,6 +455,15 @@ class TestMalformedInputExitsCleanly:
             _fresh_python("-m", "clickstats", "analyze", "--in", str(sample_file))
         )
 
+    def test_config_echo_with_another_n(self, tmp_path):
+        sample_file = tmp_path / "s.csv"
+        sample_file.write_text(
+            '# N=8\n# config={"N":16,"eta":0.5,"nu":0.0}\nclicks\n1\n2\n3\n1\n'
+        )
+        proc = _fresh_python("-m", "clickstats", "analyze", "--in", str(sample_file))
+        self._assert_usage_error(proc)
+        assert proc.stderr.startswith("error: ParseError: "), proc.stderr
+
     def test_explicit_probabilities_overflowing_their_sum(self):
         self._assert_usage_error(_fresh_python(
             "-m", "clickstats", "qb", "--state",

@@ -15,6 +15,7 @@ from clickstats import (
     binomial_reference,
     click_distribution,
     click_moments,
+    generating_function,
     make_distribution,
     mandel_q,
     nonclassicality_report,
@@ -76,6 +77,11 @@ class TestDetectorConfig:
         for N in (0, 1025, 2.5, math.inf, "4", True):
             with pytest.raises(ValidationError, match=r"^N: must be an integer in \[1, 1024\]"):
                 binomial_reference(N, 0.5)
+
+    @pytest.mark.parametrize("p", [True, "0.5", b"0.5", math.nan, -0.1, 1.5])
+    def test_binomial_reference_takes_p_by_the_number_rule(self, p):
+        with pytest.raises(ValidationError, match=r"^p: must lie in \[0, 1\]"):
+            binomial_reference(4, p)
 
 
 class TestOccupancy:
@@ -208,8 +214,6 @@ class TestPathAgreement:
             assert all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
 
     def test_moments_match_silent_pair_identities(self):
-        from clickstats.states import _gf
-
         for spec in GRID_STATES:
             for N in (2, 8, 32):
                 for eta, nu in [(0.7, 0.0), (0.4, 0.15)]:
@@ -217,7 +221,7 @@ class TestPathAgreement:
                     dist = click_distribution(spec, cfg)
                     mean, var = click_moments(dist)
                     em, ev = oracles.click_moments_from_gf(
-                        lambda x: _gf(spec, x), N, eta, nu
+                        lambda x: generating_function(spec, x), N, eta, nu
                     )
                     assert mean == pytest.approx(em, abs=1e-9)
                     assert var == pytest.approx(ev, abs=1e-9)
@@ -245,6 +249,13 @@ class TestInstabilityHandling:
         assert d.probs[2] == 0.0
         with pytest.raises(NumericalInstability):
             ClickDistribution(2, np.array([0.5, 0.5 + 5e-10, -5e-10]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_are_rejected(self, bad):
+        # NaN fails every comparison, so it has a check of its own.
+        message = "^click probability nan is not finite" if math.isnan(bad) else None
+        with pytest.raises(NumericalInstability, match=message):
+            ClickDistribution(2, [0.5, bad, 0.5])
 
     def test_bad_method_name(self):
         with pytest.raises(ValueError):

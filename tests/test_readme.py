@@ -3,7 +3,7 @@
 Every ``clickstats ...`` command in the README's ``sh`` blocks, with ``\\``
 continuations joined, runs in order in one temporary directory as a fresh
 ``python -m clickstats`` process, the "Library usage" block is executed, and
-every state of the ``json`` block parses, covers the kinds of STATE_FIELDS
+every state of the ``json`` block parses, covers the kinds of states.KINDS
 and survives a round trip through ``to_dict``.
 """
 
@@ -18,7 +18,7 @@ import pytest
 
 import clickstats
 from clickstats import qb_parameter, state_from_dict
-from clickstats.states import STATE_FIELDS, parse_state_spec
+from clickstats.states import KINDS, parse_state_spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(clickstats.__file__).resolve().parents[1])
@@ -69,6 +69,6 @@ def _readme_states() -> list[str]:
 
 def test_json_block_states_cover_the_catalog():
     specs = [parse_state_spec(text) for text in _readme_states()]
-    assert {spec.kind for spec in specs} == set(STATE_FIELDS)
+    assert {spec.kind for spec in specs} == set(KINDS)
     for spec in specs:
         assert state_from_dict(spec.to_dict()) == spec

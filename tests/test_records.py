@@ -59,6 +59,12 @@ class TestSampleFiles:
         with pytest.raises(InvalidSample):
             records.samples_from_text("# N=2\nclicks\n3\n")
 
+    def test_config_echo_must_repeat_n(self):
+        text = '# N=8\n# config={"N":%d,"eta":0.5,"nu":0.0}\nclicks\n1\n2\n3\n1\n'
+        assert records.samples_from_text(text % 8).config_echo.N == 8
+        with pytest.raises(ParseError, match="echoes N=16, but the preamble declares N=8"):
+            records.samples_from_text(text % 16)
+
     def test_malformed_rows(self):
         with pytest.raises(ParseError):
             records.samples_from_text("# N=2\nclicks\nbanana\n")
@@ -338,7 +344,8 @@ _ESTIMATE = (
 
 class TestMalformedReports:
     """Every malformed report raises ParseError; each text here escaped as
-    another exception (named in the id) before the codecs were shared."""
+    another exception (named in the id) before the codecs were shared, or
+    was accepted (``-accepted``: a NaN entry passes every comparison)."""
 
     @pytest.mark.parametrize("parser,fmt,text", [
         pytest.param("distribution", "structured", _DEEP, id="dist-json-RecursionError"),
@@ -351,6 +358,10 @@ class TestMalformedReports:
                      id="dist-json-TypeError"),
         pytest.param("distribution", "table", "k,c_k\n0,0.5\n1,0.6\n",
                      id="dist-table-NumericalInstability"),
+        pytest.param("distribution", "table", "k,c_k\n0,nan\n1,0.5\n2,0.5\n",
+                     id="dist-table-nan-accepted"),
+        pytest.param("distribution", "structured", '{"N":2,"probs":[NaN,0.5,0.5]}',
+                     id="dist-json-nan-accepted"),
         pytest.param("nonclassicality", "structured", "1", id="report-json-TypeError"),
         pytest.param("nonclassicality", "structured", _REPORT_BELOW_FLOOR,
                      id="report-json-ValueError"),
