@@ -13,21 +13,20 @@ Two routes evaluate c:
 - Path A ("generating_function"), leaf by leaf: ``_LEAF_LAWS`` maps each
   pure kind of ``states.KINDS`` to its click law, which is the one per-kind
   quantity this module owns. Coherent light gives a binomial law, thermal
-  light one bidiagonal solve, and Fock states and explicit laws the chain
-  over their photon law. Squeezed vacuum, and a photon law whose column
-  raises TruncationOverflow (beyond MAX_NMAX photons), take the
-  inclusion-exclusion sum
-  c_k = C(N,k) sum_j C(k,j) (-1)^j exp(-nu(N-k+j)) G(1 - eta(N-k+j)/N),
-  which cancels catastrophically for large N at small eta.
+  light one bidiagonal solve, Fock states and explicit laws the chain over
+  their photon law, and squeezed vacuum a trapezoid rule over two-photon
+  resolvents (I - q T^2)^-1 b. Every term of each is nonnegative. A photon
+  law beyond MAX_NMAX photons, or a squeezed leaf whose rule needs more than
+  QUADRATURE_CAP nodes, raises TruncationOverflow.
 - Path B ("occupancy_dp"): the chain weighted by the truncated photon-number
-  law. All-nonnegative; the reference and the fallback.
+  law; the independent route Path A is checked against.
 
 ``_chain`` is the only occupancy recurrence: ``occupancy_distribution`` is
 the chain over a one-hot law at eta = 1, started from k = 0.
 
-``_ROUTES`` lists the paths each method tries in order and the validity
-floor their laws must meet; "auto" tries A, then B. The first law that
-passes the validity checks is returned, round-off negatives clipped to 0.
+``_ROUTES`` maps each method to its one route; "auto" is Path A. The law it
+returns passes ClickDistribution's checks, round-off negatives clipped to 0,
+or raises NumericalInstability.
 
 Q_B measures the click variance against the binomial law with the same mean:
 Q_B = N <(dc)^2> / (<c>(N - <c>)) - 1. It vanishes for every binomial click
@@ -40,7 +39,6 @@ failure Q_B repairs. ``q_from_moments`` is the one rule for both, and
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -49,28 +47,28 @@ import numpy as np
 from .errors import DegenerateMean, NumericalInstability, TruncationOverflow, ValidationError
 from .laws import binomial_pmf, law_moments
 from .states import (
-    KINDS,
     UNIT_INTERVAL,
     StateSpec,
+    _squeezing,
     checked_real,
     make_distribution,
     state_moments,
 )
 
-logger = logging.getLogger(__name__)
-
 MAX_DETECTORS = 1024
 MAX_DARK_PARAMETER = 10.0
 
 # Entries this far below zero are round-off and clamp to 0; anything lower
-# marks the producing path as invalid.
+# makes the law invalid.
 CLAMP_TOL = 1e-12
 NORMALIZATION_TOL = 1e-9
 DEGENERATE_MEAN_TOL = 1e-12
 
-# Above this N, binomial coefficients leave exact float range; switch to
-# log-space evaluation in Path A.
-LOG_SPACE_N = 60
+# The squeezed quadrature: its first node count, the relative agreement of
+# two successive rules that ends the doubling, and the node cap.
+QUADRATURE_START = 64
+QUADRATURE_TOL = 1e-7
+QUADRATURE_CAP = 2**17
 
 
 @dataclass(frozen=True)
@@ -154,42 +152,6 @@ class NonclassicalityReport:
             raise ValueError(f"q_b={self.q_b!r} violates the variance floor of -1")
 
 
-def _alternating_sum(g: np.ndarray, N: int) -> np.ndarray:
-    """c_k = C(N,k) sum_j C(k,j) (-1)^j g[N-k+j], compensated per entry."""
-    raw = np.empty(N + 1)
-    if N <= LOG_SPACE_N:
-        for k in range(N + 1):
-            outer = math.comb(N, k)
-            terms = [
-                (-1.0) ** j * outer * math.comb(k, j) * g[N - k + j]
-                for j in range(k + 1)
-            ]
-            raw[k] = math.fsum(terms)
-    else:
-        lg = [math.lgamma(i + 1) for i in range(N + 2)]
-
-        def log_comb(n, k):
-            return lg[n] - lg[k] - lg[n - k]
-
-        try:
-            for k in range(N + 1):
-                lc_outer = log_comb(N, k)
-                terms = []
-                for j in range(k + 1):
-                    gv = g[N - k + j]
-                    if gv == 0.0:
-                        continue
-                    mag = math.exp(lc_outer + log_comb(k, j) + math.log(gv))
-                    terms.append(-mag if j % 2 else mag)
-                raw[k] = math.fsum(terms)
-        except OverflowError:
-            # A term beyond float range (from N ~ 650 on): no sum of such
-            # terms can be trusted, so the law is marked invalid and fails
-            # every validity check.
-            raw.fill(math.nan)
-    return raw
-
-
 def _occupancy_step(occ: np.ndarray, N: int, eta: float) -> np.ndarray:
     """Add one photon that survives with probability eta and lands uniformly.
 
@@ -236,36 +198,77 @@ def _chain(weights, start: np.ndarray, N: int, eta: float) -> np.ndarray:
     return acc
 
 
-def _inclusion_exclusion(leaf: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.ndarray:
-    """The alternating sum over g_s = exp(-nu s) G(1 - eta s/N), the
-    probability that a fixed set of s detectors stays silent; it may cancel
-    badly for large N."""
-    N, eta, nu = config.N, config.eta, config.nu
-    gf = KINDS[leaf.kind].gf
-    g = np.array([math.exp(-nu * s) * gf(leaf, max(0.0, 1.0 - eta * s / N)) for s in range(N + 1)])
-    return _alternating_sum(g, N)
+def _resolvent_sums(theta: np.ndarray, cosh_r: float, t: float, b: np.ndarray,
+                    N: int, eta: float) -> np.ndarray:
+    """Per entry k, the sum over the last axis of theta of (I - q T^2)^-1 b,
+    q = t^2 sin^2 theta: one forward substitution over T^2's diagonal
+    stay_k^2 and its two subdiagonals, the nodes as the numpy vector.
+
+    The divisor 1 - q stay_k^2 is formed as
+    cos^2 theta + sin^2 theta / cosh^2 r + q (1 - stay_k)(1 + stay_k), with
+    1 - stay_k = eta (N - k)/N, so every term is nonnegative.
+    """
+    sin2 = np.sin(theta) ** 2
+    q = t * t * sin2
+    base = np.cos(theta) ** 2 + sin2 / (cosh_r * cosh_r)
+    out = np.empty((N + 1,) + theta.shape[:-1])
+    c1 = c2 = stay1 = move1 = 0.0
+    for k, bk in enumerate(b.tolist()):
+        stay = ((1.0 - eta) * N + eta * k) / N
+        move = eta * (N - k + 1) / N
+        c = (bk + q * (move * (stay + stay1) * c1 + move * move1 * c2)) / (
+            base + q * (eta * (N - k) / N * (1.0 + stay))
+        )
+        out[k] = c.sum(axis=-1)
+        c2, c1, stay1, move1 = c1, c, stay, move
+    return out
+
+
+def _squeezed_law(leaf: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.ndarray:
+    """G(T) b = (1/cosh r) (1/pi) int_0^pi (I - q_theta T^2)^-1 b dtheta for
+    squeezed vacuum, q_theta = tanh^2 r sin^2 theta, by the trapezoid rule.
+
+    The integrand is periodic and analytic, so the rule converges
+    geometrically, and its nodes theta_j = pi j/n nest: the first pass gives
+    the QUADRATURE_START-node rule and, from its even nodes, the rule of
+    half as many. Each doubling evaluates the new odd nodes alone, until two
+    successive rules agree to QUADRATURE_TOL relative on every entry above
+    1e-300; beyond QUADRATURE_CAP nodes, TruncationOverflow.
+    """
+    N, eta = config.N, config.eta
+    cosh_r, t = _squeezing(leaf.r)
+    n = QUADRATURE_START
+    theta = np.pi / n * np.arange(n).reshape(n // 2, 2).T  # even nodes, odd nodes
+    even, odd = _resolvent_sums(theta, cosh_r, t, b, N, eta).T
+    total = even + odd
+    coarse, fine = even / (n // 2 * cosh_r), total / (n * cosh_r)
+    while np.any((fine > 1e-300) & (np.abs(fine - coarse) > QUADRATURE_TOL * fine)):
+        if n >= QUADRATURE_CAP:
+            raise TruncationOverflow(
+                f"squeezed vacuum with r={leaf.r} needs more than {QUADRATURE_CAP} "
+                f"quadrature nodes at N={N}"
+            )
+        total = total + _resolvent_sums(np.pi / (2 * n) * (2 * np.arange(n) + 1), cosh_r, t, b, N, eta)
+        n *= 2
+        coarse, fine = fine, total / (n * cosh_r)
+    return fine
 
 
 def _photon_chain(leaf: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.ndarray:
-    """The chain over the leaf's photon law, or the inclusion-exclusion sum
-    where that law exceeds its cap."""
-    try:
-        probs = make_distribution(leaf).probs
-    except TruncationOverflow:
-        return _inclusion_exclusion(leaf, config, b)
-    return _chain(probs, b, config.N, config.eta)
+    """The chain over the leaf's photon law; TruncationOverflow beyond its cap."""
+    return _chain(make_distribution(leaf).probs, b, config.N, config.eta)
 
 
 # G(T) b for each pure leaf kind: the binomial law with
 # p = 1 - exp(-nu - eta mu / N), the thermal solve, the chain over the
-# photon law (one-hot for a Fock state), and the inclusion-exclusion sum.
+# photon law (one-hot for a Fock state), and the squeezed quadrature.
 _LEAF_LAWS = {
     "coherent": lambda leaf, config, b: binomial_pmf(
         config.N, -math.expm1(-config.nu - config.eta * leaf.mean_photons / config.N)
     ),
     "thermal": lambda leaf, config, b: _thermal_solve(leaf.mean_photons, b, config.N, config.eta),
     "fock": _photon_chain,
-    "squeezed_vacuum": _inclusion_exclusion,
+    "squeezed_vacuum": _squeezed_law,
     "explicit": _photon_chain,
 }
 
@@ -291,23 +294,9 @@ def _path_b(spec: StateSpec, config: DetectorConfig) -> np.ndarray:
     return _chain(make_distribution(spec).probs, _dark_law(config), config.N, config.eta)
 
 
-def _looks_valid(raw: np.ndarray, floor: float = CLAMP_TOL) -> bool:
-    return bool(
-        np.all(np.isfinite(raw))
-        and float(raw.min()) >= -floor
-        and abs(float(raw.sum()) - 1.0) <= NORMALIZATION_TOL
-    )
-
-
-# The paths each method tries in order, the validity floor of their laws and
-# how a failure is named. A forced Path A tolerates round-off negatives up to
-# the method-agreement scale of 1e-9, not only the stricter threshold that
-# drives the auto fallback.
-_ROUTES = {
-    "generating_function": ((_path_a,), NORMALIZATION_TOL, "generating-function path"),
-    "occupancy_dp": ((_path_b,), CLAMP_TOL, "occupancy path"),
-    "auto": ((_path_a, _path_b), CLAMP_TOL, "both evaluation paths"),
-}
+# One route per method: "auto" is the generating-function route, and
+# "occupancy_dp" the truncated chain it is checked against.
+_ROUTES = {"generating_function": _path_a, "occupancy_dp": _path_b, "auto": _path_a}
 
 
 def click_distribution(
@@ -315,28 +304,13 @@ def click_distribution(
 ) -> ClickDistribution:
     """Exact distribution of the number of clicking detectors.
 
-    ``method`` selects the evaluation route: "generating_function" (Path A),
-    "occupancy_dp" (Path B), or "auto", which tries Path A and falls back to
-    Path B whenever Path A produces a non-finite entry (an overflowing
-    log-space sum gives all NaN), an entry below -1e-12, or misses unit
-    normalization by more than 1e-9. A requested route that fails its
-    validity checks raises NumericalInstability.
+    ``method`` selects the evaluation route: "generating_function" or its
+    name "auto" (Path A, leaf by leaf), or "occupancy_dp" (Path B). The law
+    passes ClickDistribution's checks or raises NumericalInstability.
     """
     if method not in _ROUTES:
         raise ValueError(f"method must be one of {tuple(_ROUTES)}, got {method!r}")
-    paths, floor, name = _ROUTES[method]
-    for path in paths:
-        raw = path(spec, config)
-        if _looks_valid(raw, floor):
-            return ClickDistribution(config.N, np.maximum(raw, 0.0, out=raw))
-        logger.debug(
-            "%s failed validity checks at N=%d eta=%g nu=%g",
-            path.__name__, config.N, config.eta, config.nu,
-        )
-    raise NumericalInstability(
-        f"{name} failed validity checks at N={config.N}, "
-        f"eta={config.eta}, nu={config.nu}"
-    )
+    return ClickDistribution(config.N, _ROUTES[method](spec, config))
 
 
 def occupancy_distribution(m: int, N: int) -> np.ndarray:

@@ -175,8 +175,8 @@ def _explicit_mp(spec) -> list:
 
 
 def gf_mp(spec, x):
-    """G(x) of a coherent, thermal, Fock or explicit state, or a mixture of
-    them, in mpmath."""
+    """G(x) of a coherent, thermal, Fock, squeezed-vacuum or explicit state,
+    or a mixture of them, in mpmath."""
     if spec.kind == "explicit":
         return mpmath.fsum(p * x**n for n, p in enumerate(_explicit_mp(spec)))
     if spec.kind == "coherent":
@@ -185,6 +185,9 @@ def gf_mp(spec, x):
         return 1 / (1 + mpmath.mpf(spec.mean_photons) * (1 - x))
     if spec.kind == "fock":
         return x**spec.n
+    if spec.kind == "squeezed_vacuum":
+        r = mpmath.mpf(spec.r)
+        return 1 / (mpmath.cosh(r) * mpmath.sqrt(1 - (x * mpmath.tanh(r)) ** 2))
     if spec.kind == "mixture":
         return mpmath.fsum(mpmath.mpf(w) * gf_mp(leaf, x) for w, leaf in spec.components)
     raise ValueError(f"no mpmath generating function for {spec.kind!r}")

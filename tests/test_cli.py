@@ -9,18 +9,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import clickstats
-from clickstats import records
+import oracles
+from clickstats import click_kernel, records
 from clickstats.cli import main, parse_state_spec
 from clickstats.errors import ParseError, ValidationError
 
 COHERENT4 = '{"kind":"coherent","mean_photons":4.0}'
 FOCK1 = '{"kind":"fock","n":1}'
 SRC = str(Path(clickstats.__file__).resolve().parents[1])
+
+
+def _assert_printed_law(got, exact):
+    """Each printed entry above 1e-300 is its exact value to the 12 printed
+    digits, and the rest print within 1e-300."""
+    assert len(got) == len(exact)
+    for k, (g, e) in enumerate(zip(got.tolist(), exact)):
+        assert abs(g - e) <= (1e-11 * e if e > 1e-300 else 1e-300), (k, g, e)
 
 
 def _fresh_python(*argv):
@@ -192,13 +202,19 @@ class TestDistVerb:
                      "--detectors", "4"])
         assert code == 2
 
-    def test_forced_gf_instability_is_domain_error(self, capsys):
+    def test_forced_gf_gives_the_exact_law(self, capsys):
+        # The alternating sum once failed its checks here, and gf exited 1.
         code = main([
             "dist", "--state", '{"kind":"squeezed_vacuum","r":0.8}',
             "--detectors", "64", "--eta", "0.05", "--method", "gf",
         ])
-        assert code == 1
-        assert "NumericalInstability" in capsys.readouterr().err
+        assert code == 0
+        got = records.parse_distribution(capsys.readouterr().out, "table").probs
+        with mpmath.workdps(420):
+            exact = oracles.clicks_by_inclusion_exclusion_mp(
+                clickstats.StateSpec.squeezed_vacuum(0.8), 64, 0.05, 0.0
+            )
+        _assert_printed_law(got, [float(e) for e in exact])
 
 
 class TestQbVerb:
@@ -220,13 +236,26 @@ class TestQbVerb:
         ('{"kind":"thermal","mean_photons":200}', [], "200"),
         ('{"kind":"squeezed_vacuum","r":3.5}', [], format(math.cosh(7.0), ".12g")),
         ('{"kind":"coherent","mean_photons":4000}', ["--eta", "0.001"], "0"),
-        ('{"kind":"fock","n":5000}', ["--eta", "0.001", "--nu", "0.05"], "-1"),
-    ], ids=["thermal", "squeezed", "coherent", "fock"])
+    ], ids=["thermal", "squeezed", "coherent"])
     def test_photon_laws_beyond_the_cutoff(self, capsys, state, extra, q_m_photons):
         # Each needs more than MAX_NMAX photons; dist and sweep never did.
         assert main(["qb", "--state", state, "--detectors", "8", *extra]) == 0
         rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
         assert rows["q_m_photons"] == q_m_photons
+
+    @pytest.mark.parametrize("state", [
+        '{"kind":"fock","n":5000}',
+        '{"kind":"explicit","probs":[%s]}' % ",".join([repr(1.0 / 4201)] * 4201),
+    ], ids=["fock", "explicit"])
+    @pytest.mark.parametrize("method", ["gf", "dp", "auto"])
+    def test_photon_laws_beyond_the_chain_cap(self, capsys, state, method):
+        # No route holds these laws; auto once printed a wrong one for Fock 5000.
+        code = main(["qb", "--state", state, "--detectors", "8", "--eta", "0.001",
+                     "--nu", "0.05", "--method", method])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: TruncationOverflow: ")
 
 
 class TestSimulateAnalyzeRoundTrip:
@@ -623,30 +652,37 @@ class TestExtremeStateParameters:
         assert proc.stderr.startswith("error: TruncationOverflow"), proc.stderr
 
 
-class TestLogSpaceOverflow:
-    """Where the log-space inclusion-exclusion overflows, auto falls back to
-    the occupancy route and a forced gf exits 1, never with a traceback."""
+class TestSqueezedAtLargeN:
+    """Where the log-space inclusion-exclusion once overflowed (from N ~ 650),
+    auto and a forced gf both print the exact squeezed law, never with a
+    traceback."""
 
     @pytest.mark.parametrize("N", ["653", "1024"])
-    def test_auto_report_is_the_occupancy_report(self, N):
+    def test_auto_report_is_the_gf_report(self, N):
         state = '{"kind":"squeezed_vacuum","r":0.8}'
         auto = _fresh_python("-m", "clickstats", "qb", "--state", state, "--detectors", N)
-        dp = _fresh_python("-m", "clickstats", "qb", "--state", state, "--detectors", N,
-                           "--method", "dp")
+        gf = _fresh_python("-m", "clickstats", "qb", "--state", state, "--detectors", N,
+                           "--method", "gf")
         assert auto.returncode == 0, auto.stderr
-        assert dp.returncode == 0, dp.stderr
-        assert auto.stdout == dp.stdout
+        assert gf.returncode == 0, gf.stderr
+        assert auto.stdout == gf.stdout
         assert "q_b," in auto.stdout
 
-    @pytest.mark.parametrize("N", ["653", "1024"])
-    def test_forced_gf_is_a_domain_error(self, N):
+    @pytest.mark.parametrize("N", [653, 1024])
+    def test_forced_gf_is_the_exact_law(self, N):
         proc = _fresh_python(
             "-m", "clickstats", "dist", "--state", '{"kind":"squeezed_vacuum","r":0.8}',
-            "--detectors", N, "--method", "gf",
+            "--detectors", str(N), "--method", "gf",
         )
-        assert proc.returncode == 1, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: NumericalInstability")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        got = records.parse_distribution(proc.stdout, "table").probs
+        # The reference: the same trapezoid rule at a fixed 4096 nodes, in one
+        # pass; at r = 0.8 it converges from 256.
+        n, r = 4096, 0.8
+        b = click_kernel._dark_law(clickstats.DetectorConfig(N=N, eta=1.0))
+        sums = click_kernel._resolvent_sums(np.pi / n * np.arange(n), math.cosh(r), math.tanh(r), b, N, 1.0)
+        _assert_printed_law(got, (sums / (n * math.cosh(r))).tolist())
 
 
 class TestHugeClickValues:

@@ -23,7 +23,7 @@ from clickstats import (
     qb_parameter,
 )
 from clickstats import click_kernel
-from clickstats.click_kernel import _occupancy_step, _path_a, _path_b
+from clickstats.click_kernel import _occupancy_step
 from clickstats.errors import (
     DegenerateMean,
     NumericalInstability,
@@ -228,20 +228,21 @@ class TestPathAgreement:
 
 
 class TestInstabilityHandling:
-    def test_forced_path_a_raises_when_it_explodes(self):
-        with pytest.raises(NumericalInstability):
-            click_distribution(
-                StateSpec.squeezed_vacuum(0.8),
-                DetectorConfig(N=64, eta=0.05),
-                "generating_function",
-            )
+    def test_forced_path_a_is_exact_where_the_sum_exploded(self):
+        # The alternating sum that once served this point lost every digit.
+        N, eta, nu = 64, 0.05, 0.0
+        spec = StateSpec.squeezed_vacuum(0.8)
+        got = click_distribution(spec, DetectorConfig(N=N, eta=eta, nu=nu), "generating_function")
+        _assert_entries(got.probs, _exact_law(spec, N, eta, nu), "generating_function")
 
-    def test_auto_falls_back_to_occupancy(self):
+    def test_auto_is_the_forced_path_a(self):
         cfg = DetectorConfig(N=64, eta=0.05)
         spec = StateSpec.squeezed_vacuum(0.8)
         auto = click_distribution(spec, cfg, "auto")
+        gf = click_distribution(spec, cfg, "generating_function")
         dp = click_distribution(spec, cfg, "occupancy_dp")
-        np.testing.assert_array_equal(auto.probs, dp.probs)
+        np.testing.assert_array_equal(auto.probs, gf.probs)
+        assert np.abs(auto.probs - dp.probs).max() <= 1e-9
 
     def test_clamp_policy(self):
         # entries in [-1e-12, 0) clamp to zero, below that is an error
@@ -284,23 +285,50 @@ EXACT_LEAF_CONFIGS = [
     (64, 0.7, 0.05), (128, 0.3, 2.0), (128, 0.0, 0.0),
     (1024, 0.7, 0.05), (1024, 1.0, 0.0),
 ]
+SQUEEZED_STATES = [
+    StateSpec.squeezed_vacuum(0.05),
+    StateSpec.squeezed_vacuum(0.8),
+    StateSpec.squeezed_vacuum(1.5),
+    StateSpec.mixture([
+        (0.4, StateSpec.squeezed_vacuum(0.8)),
+        (0.3, StateSpec.thermal(2.0)),
+        (0.3, StateSpec.fock(3)),
+    ]),
+]
+SQUEEZED_CONFIGS = [config for config in EXACT_LEAF_CONFIGS if config[0] <= 128] + [(256, 0.7, 0.05)]
 
 
 def _exact_law(spec, N, eta, nu):
-    """mpmath click law: inclusion-exclusion up to N = 128, leaf forms above."""
-    if N <= 128:
-        # The terms reach 3^128 ~ 1e61; 420 digits leave every entry down
-        # to 1e-350 exact.
-        with mpmath.workdps(420):
+    """mpmath click law: inclusion-exclusion up to N = 256, leaf forms above.
+
+    The terms reach 3^N, so the sum keeps about dps - N log10(3) digits:
+    420 digits leave every entry down to 1e-350 exact up to N = 128, and
+    60 + N log10(3) + 340 do the same at N = 256, where 50 + N log10(3)
+    left entries near 1e-45 wrong by about 5e-8.
+    """
+    if N <= 256:
+        with mpmath.workdps(420 if N <= 128 else 400 + math.ceil(N * math.log10(3))):
             return oracles.clicks_by_inclusion_exclusion_mp(spec, N, eta, nu)
     with mpmath.workdps(40):
         return oracles.leaf_clicks_mp(spec, N, eta, nu)
 
 
+def _assert_entries(got, exact, method):
+    """Every entry above 1e-300 to 5e-12 relative; an entry whose exact value
+    lies below the smallest subnormal is exactly 0."""
+    for k, (g, e) in enumerate(zip(got.tolist(), exact)):
+        if abs(e) < 1e-330:
+            assert g == 0.0, (method, k, g, e)
+        elif e > 1e-300:
+            assert abs(g - e) <= 5e-12 * e, (method, k, g, e)
+        else:
+            assert abs(g - e) <= 1e-300, (method, k, g, e)
+
+
 class TestExactLeafRoutes:
-    """Coherent, thermal, Fock and explicit leaves evaluate c = G(T) b
-    exactly: every entry above 1e-300 to 12 digits, and entries whose exact
-    value lies below the smallest subnormal come out as exactly 0."""
+    """Every leaf kind evaluates c = G(T) b exactly: every entry above 1e-300
+    to 12 digits, and entries whose exact value lies below the smallest
+    subnormal come out as exactly 0."""
 
     @pytest.mark.parametrize("spec", EXACT_LEAF_STATES, ids=lambda s: s.kind)
     @pytest.mark.parametrize("N,eta,nu", EXACT_LEAF_CONFIGS)
@@ -308,14 +336,43 @@ class TestExactLeafRoutes:
         exact = _exact_law(spec, N, eta, nu)
         cfg = DetectorConfig(N=N, eta=eta, nu=nu)
         for method in ("auto", "generating_function"):
-            got = click_distribution(spec, cfg, method).probs
-            for k, (g, e) in enumerate(zip(got.tolist(), exact)):
-                if abs(e) < 1e-330:
-                    assert g == 0.0, (method, k, g, e)
-                elif e > 1e-300:
-                    assert abs(g - e) <= 5e-12 * e, (method, k, g, e)
-                else:
-                    assert abs(g - e) <= 1e-300, (method, k, g, e)
+            _assert_entries(click_distribution(spec, cfg, method).probs, exact, method)
+
+    @pytest.mark.parametrize("spec", SQUEEZED_STATES, ids=lambda s: f"{s.kind}-{s.r}")
+    @pytest.mark.parametrize("N,eta,nu", SQUEEZED_CONFIGS)
+    def test_squeezed_leaves_against_mpmath(self, spec, N, eta, nu):
+        exact = _exact_law(spec, N, eta, nu)
+        cfg = DetectorConfig(N=N, eta=eta, nu=nu)
+        for method in ("auto", "generating_function"):
+            _assert_entries(click_distribution(spec, cfg, method).probs, exact, method)
+
+    @pytest.mark.parametrize("r", [5.0, 8.0])
+    @pytest.mark.parametrize("N,eta,nu", [(8, 1.0, 0.0), (8, 0.7, 0.05), (20, 1.0, 0.0), (20, 0.7, 0.05)])
+    def test_strong_squeezing_against_mpmath(self, r, N, eta, nu):
+        # Thousands of nodes here; the alternating sum erred by up to 1.7e-7.
+        spec = StateSpec.squeezed_vacuum(r)
+        got = click_distribution(spec, DetectorConfig(N=N, eta=eta, nu=nu)).probs
+        _assert_entries(got, _exact_law(spec, N, eta, nu), "auto")
+
+    @pytest.mark.parametrize("r", [0.8, 2.5])
+    @pytest.mark.parametrize("N,eta,nu", [(653, 1.0, 0.0), (1024, 0.7, 0.05), (1024, 1.0, 0.0)])
+    def test_squeezed_self_convergence_at_large_n(self, monkeypatch, r, N, eta, nu):
+        # Beyond N = 256 the reference is the same rule at 4 times the final
+        # node count, in one pass.
+        nodes = []
+        sums = click_kernel._resolvent_sums
+
+        def counted(theta, *args):
+            nodes.append(theta.size)
+            return sums(theta, *args)
+
+        monkeypatch.setattr(click_kernel, "_resolvent_sums", counted)
+        cfg = DetectorConfig(N=N, eta=eta, nu=nu)
+        got = click_distribution(StateSpec.squeezed_vacuum(r), cfg).probs
+        n = 4 * sum(nodes)
+        cosh_r, t = math.cosh(r), math.tanh(r)
+        reference = sums(np.pi / n * np.arange(n), cosh_r, t, click_kernel._dark_law(cfg), N, eta)
+        _assert_entries(got, (reference / (n * cosh_r)).tolist(), "auto")
 
     @pytest.mark.parametrize("spec", GRID_STATES + EXACT_LEAF_STATES)
     @pytest.mark.parametrize("N", [1, 20, 256])
@@ -332,28 +389,31 @@ class TestExactLeafRoutes:
         got = click_distribution(spec, DetectorConfig(N=N, eta=0.7), "occupancy_dp")
         np.testing.assert_array_equal(got.probs, acc)
 
-    def test_fock_beyond_the_chain_cap_takes_inclusion_exclusion(self, monkeypatch):
-        # MAX_NMAX + 1 chain steps would cost photons times N; the sum costs N^2.
+    @pytest.mark.parametrize("spec", [
+        StateSpec.fock(MAX_NMAX + 1), StateSpec.explicit([1.0 / (MAX_NMAX + 2)] * (MAX_NMAX + 2)),
+    ], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("method", ["generating_function", "occupancy_dp", "auto"])
+    def test_photon_laws_beyond_the_chain_cap_overflow_at_once(self, monkeypatch, spec, method):
+        # No route runs a step of the chain, or any other sum, before it fails.
         def refuse(occ, N, eta):
             raise AssertionError("occupancy chain reached")
 
         monkeypatch.setattr(click_kernel, "_occupancy_step", refuse)
-        spec = StateSpec.fock(MAX_NMAX + 1)
-        got = click_distribution(spec, DetectorConfig(N=8, eta=0.001, nu=0.05)).probs
-        with mpmath.workdps(40):
-            exact = oracles.clicks_by_inclusion_exclusion_mp(spec, 8, 0.001, 0.05)
-        # The method-agreement scale: the alternating sum is not exact here.
-        np.testing.assert_allclose(got, [float(e) for e in exact], rtol=0, atol=1e-9)
+        with pytest.raises(TruncationOverflow, match="exceeds the cap"):
+            click_distribution(spec, DetectorConfig(N=8, eta=0.001, nu=0.05), method)
 
     @pytest.mark.parametrize("N", [1, 64, 1024])
     @pytest.mark.parametrize("nu", [0.0, 0.05])
-    def test_never_reach_inclusion_exclusion(self, monkeypatch, N, nu):
-        def refuse(g, N):
-            raise AssertionError("inclusion-exclusion sum reached")
+    def test_never_reach_the_occupancy_route(self, monkeypatch, N, nu):
+        # auto has no fallback: it is Path A, for squeezed leaves too.
+        def refuse(spec, config):
+            raise AssertionError("occupancy route reached")
 
-        monkeypatch.setattr(click_kernel, "_alternating_sum", refuse)
+        for method, route in list(click_kernel._ROUTES.items()):
+            if route is click_kernel._path_b:
+                monkeypatch.setitem(click_kernel._ROUTES, method, refuse)
         cfg = DetectorConfig(N=N, eta=0.3, nu=nu)
-        for spec in EXACT_LEAF_STATES + [StateSpec.coherent(3.0), StateSpec.fock(0)]:
+        for spec in EXACT_LEAF_STATES + SQUEEZED_STATES + [StateSpec.coherent(3.0), StateSpec.fock(0)]:
             for method in ("auto", "generating_function"):
                 click_distribution(spec, cfg, method)
 
@@ -383,20 +443,17 @@ ROUTE_STATES = [
 
 
 class TestRoutes:
-    """auto returns the forced gf law, bit for bit, wherever Path A passes
-    auto's validity checks, and the dp law everywhere else."""
+    """auto is the forced gf route, bit for bit, at every point, and the
+    occupancy route agrees with it to the method-agreement scale."""
 
     @pytest.mark.parametrize("spec", ROUTE_STATES, ids=lambda s: s.kind)
-    # At N = 15 several Path A laws dip below -1e-12 but not below -1e-9:
-    # valid for a forced gf, invalid for auto.
     @pytest.mark.parametrize("N", [1, 15, 60, 61, 653, 1024])
     @pytest.mark.parametrize("eta,nu", [(1.0, 0.0), (0.05, 0.05)])
-    def test_auto_is_gf_where_path_a_is_valid_else_dp(self, spec, N, eta, nu):
+    def test_auto_is_forced_gf(self, spec, N, eta, nu):
         cfg = DetectorConfig(N=N, eta=eta, nu=nu)
         auto = click_distribution(spec, cfg, "auto").probs
-        valid = click_kernel._looks_valid(_path_a(spec, cfg))
-        route = "generating_function" if valid else "occupancy_dp"
-        np.testing.assert_array_equal(auto, click_distribution(spec, cfg, route).probs)
+        np.testing.assert_array_equal(auto, click_distribution(spec, cfg, "generating_function").probs)
+        assert np.abs(auto - click_distribution(spec, cfg, "occupancy_dp").probs).max() <= 1e-9
 
 
 class TestBinomialReference:

@@ -7,10 +7,15 @@ beyond the float range, and squeezed vacuum whose tanh r rounds to 1. Per
 point the digest takes the bytes of the click law under every method, the
 nonclassicality report, the truncated photon law and its tail bound, the
 generating function at four arguments and the exact photon moments; every
-error enters by its class and message. The digests were pinned on the code
-in which each kind's photon law, generating function, moments and click law
-were still four if-chains, so moving a kind's computation to another place
-must leave every byte and message as it was.
+error enters by its class and message. The coherent and thermal digests were
+pinned on the code in which each kind's photon law, generating function,
+moments and click law were still four if-chains, so moving a kind's
+computation to another place must leave every byte and message as it was.
+The squeezed, mixture, Fock and explicit digests were pinned again when the
+squeezed trapezoid rule replaced the inclusion-exclusion sum: every changed
+squeezed or mixture law was then within 5e-12 of mpmath on its entries above
+1e-300, and Fock and explicit outputs changed only at the beyond-cap edges,
+which now raise TruncationOverflow on every route.
 """
 
 from __future__ import annotations
@@ -37,10 +42,10 @@ LEAF_KINDS = ("coherent", "thermal", "fock", "squeezed_vacuum", "explicit")
 DIGESTS = {
     "coherent": "947e5b4462af8d7db28138ef5b62e4fda5a9021be74f4c67ca5ee73b8b8fd98d",
     "thermal": "d49e07cc5821d1bb2533e02c1526fd47fbe19c8c1656499f52d6c0a0d80d0768",
-    "fock": "7efc3037900584bdaf166151d1d545885d6a51b542d0b390b3930d14752b26fd",
-    "squeezed_vacuum": "eca3a7b9f503573ea4998d3b2b5cf16dd45f4bf32224ec2418992b8ceaf1087b",
-    "mixture": "7e7839e95eb817e7d1724b125462c3bea25fe596c0e0036d61edfdac86bd6f6e",
-    "explicit": "cb137073912d80fc6a1d985d8b29b87f954b68880f43ff138eb0c7b26968f036",
+    "fock": "4faae60ef7c8d138799f2b31ec334ef037863df7abfcc60fc463e87bae83199b",
+    "squeezed_vacuum": "242a596ff0f988833eaa031ded97355c977d20e6e56e999ff59d638942647059",
+    "mixture": "7c212f5ea0a814cf3f0407d38eea7beae29f37f7da257e3034e34e2dc6e42e4f",
+    "explicit": "028055c40374e51587d9c4911df3147055973af44212eeb64be2496971aa0c25",
 }
 
 
