@@ -44,12 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMean, NumericalInstability, TruncationOverflow, ValidationError
+from .errors import DegenerateMean, NumericalInstability, TruncationOverflow
 from .laws import binomial_pmf, law_moments
 from .states import (
     UNIT_INTERVAL,
+    MAX_NMAX,
     StateSpec,
     _squeezing,
+    checked_integer,
     checked_real,
     make_distribution,
     state_moments,
@@ -76,15 +78,17 @@ class DetectorConfig:
     """Array size N, quantum efficiency eta, dark-count parameter nu.
 
     Each value is checked when the config is built, by the same number rule
-    as a state's fields (``states.checked_real``), and stored normalized: N
-    as an int, eta and nu as floats."""
+    as a state's fields (``states.checked_real``, with an integral N), and
+    stored normalized: N as an int, eta and nu as floats."""
 
     N: int
     eta: float
     nu: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "N", _detector_count(self.N, "config.N"))
+        object.__setattr__(
+            self, "N", checked_integer(self.N, "config.N", 1, MAX_DETECTORS, _N_RULE)
+        )
         object.__setattr__(self, "eta", checked_real(self.eta, "config.eta", 0.0, 1.0, UNIT_INTERVAL))
         object.__setattr__(
             self, "nu", checked_real(self.nu, "config.nu", 0.0, MAX_DARK_PARAMETER, _NU_RULE)
@@ -93,15 +97,7 @@ class DetectorConfig:
 
 _NU_RULE = f"must lie in [0, {MAX_DARK_PARAMETER}]"
 _N_RULE = f"must be an integer in [1, {MAX_DETECTORS}]"
-
-
-def _detector_count(N: object, path: str) -> int:
-    """The N rule of DetectorConfig and binomial_reference: ``checked_real``
-    with an integral value in [1, MAX_DETECTORS], returned as an int."""
-    count = checked_real(N, path, 1.0, MAX_DETECTORS, _N_RULE)
-    if not count.is_integer():
-        raise ValidationError(f"{path}: {_N_RULE}, got {N!r}")
-    return int(count)
+_M_RULE = f"must be an integer in [0, {MAX_NMAX}]"
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,8 @@ def _squeezed_law(leaf: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.
                 f"squeezed vacuum with r={leaf.r} needs more than {QUADRATURE_CAP} "
                 f"quadrature nodes at N={N}"
             )
-        total = total + _resolvent_sums(np.pi / (2 * n) * (2 * np.arange(n) + 1), cosh_r, t, b, N, eta)
+        nodes = np.pi / (2 * n) * (2 * np.arange(n) + 1)  # the new odd nodes
+        total = total + _resolvent_sums(nodes, cosh_r, t, b, N, eta)
         n *= 2
         coarse, fine = fine, total / (n * cosh_r)
     return fine
@@ -320,14 +317,11 @@ def occupancy_distribution(m: int, N: int) -> np.ndarray:
     C(N,k) k! S(m,k) / N^m with S the Stirling numbers of the second kind:
     the chain over the one-hot law of m at eta = 1, started from k = 0,
     which is the stable forward recurrence
-    O_{m+1}(k) = O_m(k) k/N + O_m(k-1) (N-k+1)/N.
+    O_{m+1}(k) = O_m(k) k/N + O_m(k-1) (N-k+1)/N. m and N take the number
+    rule of every integer input (``checked_integer``); N has no upper bound.
     """
-    if m < 0 or m != int(m):
-        raise ValueError(f"ball count must be a nonnegative integer, got {m!r}")
-    if m > 4096:
-        raise ValueError(f"ball count {m} exceeds the supported maximum 4096")
-    if N < 1 or N != int(N):
-        raise ValueError(f"bin count must be a positive integer, got {N!r}")
+    m = checked_integer(m, "m", 0, MAX_NMAX, _M_RULE)
+    N = checked_integer(N, "N", 1, math.inf, "must be a positive integer")
     start = np.zeros(min(m, N) + 1)
     start[0] = 1.0
     return _chain([0.0] * m + [1.0], start, N, 1.0)
@@ -338,7 +332,7 @@ def binomial_reference(N: int, p: float) -> ClickDistribution:
 
     p and N take the number rule of every real input (``checked_real``)."""
     p = checked_real(p, "p", 0.0, 1.0, UNIT_INTERVAL)
-    N = _detector_count(N, "N")
+    N = checked_integer(N, "N", 1, MAX_DETECTORS, _N_RULE)
     return ClickDistribution(N, binomial_pmf(N, p))
 
 

@@ -25,10 +25,12 @@ from functools import lru_cache
 import numpy as np
 
 from .click_kernel import DetectorConfig
-from .states import StateSpec, make_distribution
+from .errors import ValidationError
+from .states import StateSpec, checked_integer, checked_real, make_distribution
 
 CHUNK_SIZE = 4096
 MAX_TRIALS = 10**8
+_TRIALS_RULE = f"must be an integer in [1, {MAX_TRIALS}]"
 # 1 (records without a stream tag): one uniform per detector per trial for
 # the dark clicks, one stream per bootstrap replicate. 2: one binomial dark
 # draw per trial, bootstrap replicates in seeded blocks.
@@ -93,10 +95,12 @@ def sample_photon_number(spec: StateSpec, random_draw: float) -> int:
     """Inverse-CDF photon-number sample from a uniform draw in [0, 1).
 
     Draws at or beyond the truncated cumulative total map to the cutoff
-    photon number.
+    photon number. The draw takes the number rule of every real input
+    (``checked_real``).
     """
-    if not (0.0 <= random_draw < 1.0):
-        raise ValueError(f"random draw must lie in [0, 1), got {random_draw!r}")
+    random_draw = checked_real(
+        random_draw, "random_draw", 0.0, math.nextafter(1.0, 0.0), "must lie in [0, 1)"
+    )
     cum = _cumulative_table(spec)
     idx = int(np.searchsorted(cum, random_draw, side="right"))
     return min(idx, cum.size - 1)
@@ -160,13 +164,17 @@ def simulate(
 ) -> ClickSampleSet:
     """Simulate `trials` measurement windows of the detector array.
 
-    Deterministic for fixed (spec, config, trials, seed). ``workers`` is
-    accepted; it never changes the output.
+    Deterministic for fixed (spec, config, trials, seed). ``trials`` takes
+    the number rule of every integer input (``checked_integer``). ``seed``
+    must be a Python or numpy integer other than a bool, and is kept exact:
+    seeds reach 2^64, beyond a float's 53 bits. ``workers`` is accepted; it
+    never changes the output.
     """
-    if not (1 <= trials <= MAX_TRIALS):
-        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials!r}")
-    if not (0 <= seed < 2**64):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    trials = checked_integer(trials, "trials", 1, MAX_TRIALS, _TRIALS_RULE)
+    exact = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (exact and 0 <= int(seed) < 2**64):
+        raise ValidationError(f"seed: must be an integer in [0, 2**64), got {seed!r}")
+    seed = int(seed)
     check_workers(workers)
     cum = _cumulative_table(spec)
 

@@ -65,6 +65,14 @@ def checked_real(value: object, path: str, low: float, high: float, rule: str) -
     return number
 
 
+def checked_integer(value: object, path: str, low: float, high: float, rule: str) -> int:
+    """``checked_real`` with an integral value, returned as an exact int:
+    8 and 8.0 pass, 8.5, True and "8" do not."""
+    if not checked_real(value, path, low, high, rule).is_integer():
+        raise ValidationError(f"{path}: {rule}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """Symbolic description of a quantum light state.
@@ -487,11 +495,10 @@ def generating_function(spec: StateSpec, x: float) -> float:
     """Evaluate G(x) = sum_n p_n x^n on [0, 1].
 
     Each leaf kind has its closed form (``KINDS``); an explicit law is its
-    polynomial. A mixture is the weight-sum over its flattened leaves.
+    polynomial. A mixture is the weight-sum over its flattened leaves. x
+    takes the number rule of every real input (``checked_real``).
     """
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"generating function argument must lie in [0, 1], got {x!r}")
-    x = float(x)
+    x = checked_real(x, "x", 0.0, 1.0, UNIT_INTERVAL)
     return math.fsum(w * KINDS[leaf.kind].gf(leaf, x) for w, leaf in spec.flattened())
 
 

@@ -120,13 +120,18 @@ class TestOccupancy:
             got = occupancy_distribution(m, N)
             assert got.tobytes() == oracles.occupancy_by_kn_loop(m, N).tobytes(), m
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            occupancy_distribution(-1, 4)
-        with pytest.raises(ValueError):
-            occupancy_distribution(4097, 4)
-        with pytest.raises(ValueError):
-            occupancy_distribution(3, 0)
+    @pytest.mark.parametrize("m,N,path", [
+        (-1, 4, "m"), (MAX_NMAX + 1, 4, "m"), (3, 0, "N"), (True, 8, "m"), (3, True, "N"),
+        ("3", 8, "m"), (3, "8", "N"), (2.5, 8, "m"), (3, 8.5, "N"), (math.nan, 8, "m"),
+    ])
+    def test_rejects_bad_input(self, m, N, path):
+        with pytest.raises(ValidationError, match=rf"^{path}: must be "):
+            occupancy_distribution(m, N)
+
+    def test_integral_values_and_any_bin_count(self):
+        got = occupancy_distribution(3.0, np.int64(8))
+        assert got.tobytes() == occupancy_distribution(3, 8).tobytes()
+        assert occupancy_distribution(MAX_NMAX, 2000).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestClickDistributionHandCases:
@@ -295,7 +300,7 @@ SQUEEZED_STATES = [
         (0.3, StateSpec.fock(3)),
     ]),
 ]
-SQUEEZED_CONFIGS = [config for config in EXACT_LEAF_CONFIGS if config[0] <= 128] + [(256, 0.7, 0.05)]
+SQUEEZED_CONFIGS = [c for c in EXACT_LEAF_CONFIGS if c[0] <= 128] + [(256, 0.7, 0.05)]
 
 
 def _exact_law(spec, N, eta, nu):
@@ -347,7 +352,9 @@ class TestExactLeafRoutes:
             _assert_entries(click_distribution(spec, cfg, method).probs, exact, method)
 
     @pytest.mark.parametrize("r", [5.0, 8.0])
-    @pytest.mark.parametrize("N,eta,nu", [(8, 1.0, 0.0), (8, 0.7, 0.05), (20, 1.0, 0.0), (20, 0.7, 0.05)])
+    @pytest.mark.parametrize("N,eta,nu", [
+        (8, 1.0, 0.0), (8, 0.7, 0.05), (20, 1.0, 0.0), (20, 0.7, 0.05),
+    ])
     def test_strong_squeezing_against_mpmath(self, r, N, eta, nu):
         # Thousands of nodes here; the alternating sum erred by up to 1.7e-7.
         spec = StateSpec.squeezed_vacuum(r)
@@ -413,7 +420,8 @@ class TestExactLeafRoutes:
             if route is click_kernel._path_b:
                 monkeypatch.setitem(click_kernel._ROUTES, method, refuse)
         cfg = DetectorConfig(N=N, eta=0.3, nu=nu)
-        for spec in EXACT_LEAF_STATES + SQUEEZED_STATES + [StateSpec.coherent(3.0), StateSpec.fock(0)]:
+        extra = [StateSpec.coherent(3.0), StateSpec.fock(0)]
+        for spec in EXACT_LEAF_STATES + SQUEEZED_STATES + extra:
             for method in ("auto", "generating_function"):
                 click_distribution(spec, cfg, method)
 
@@ -452,7 +460,8 @@ class TestRoutes:
     def test_auto_is_forced_gf(self, spec, N, eta, nu):
         cfg = DetectorConfig(N=N, eta=eta, nu=nu)
         auto = click_distribution(spec, cfg, "auto").probs
-        np.testing.assert_array_equal(auto, click_distribution(spec, cfg, "generating_function").probs)
+        gf = click_distribution(spec, cfg, "generating_function").probs
+        np.testing.assert_array_equal(auto, gf)
         assert np.abs(auto - click_distribution(spec, cfg, "occupancy_dp").probs).max() <= 1e-9
 
 

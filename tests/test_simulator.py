@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo detector-array simulation."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from clickstats import (
     sample_photon_number,
     simulate,
 )
+from clickstats.errors import ValidationError
 from clickstats.simulator import STREAM_VERSION, _count_occupied
 
 import oracles
@@ -176,15 +178,28 @@ class TestPhysicalModel:
         se = np.sqrt(6 * p * (1 - p) / out.trials)
         assert abs(out.clicks.mean() - 6 * p) <= 5 * se
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            simulate(COHERENT4, CFG_8_HALF, trials=0, seed=1)
-        with pytest.raises(ValueError):
-            simulate(COHERENT4, CFG_8_HALF, trials=10**8 + 1, seed=1)
-        with pytest.raises(ValueError):
-            simulate(COHERENT4, CFG_8_HALF, trials=10, seed=-1)
+    @pytest.mark.parametrize("trials,seed,path", [
+        (0, 1, "trials"), (10**8 + 1, 1, "trials"), (True, 1, "trials"), (2.5, 1, "trials"),
+        ("10", 1, "trials"), (10, -1, "seed"), (10, 2**64, "seed"), (10, True, "seed"),
+        (10, 1.5, "seed"), (10, 1.0, "seed"), (10, "1", "seed"), (10, np.int64(-1), "seed"),
+    ])
+    def test_input_validation(self, trials, seed, path):
+        with pytest.raises(ValidationError, match=rf"^{path}: must be an integer in "):
+            simulate(COHERENT4, CFG_8_HALF, trials=trials, seed=seed)
+
+    def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             simulate(COHERENT4, CFG_8_HALF, trials=10, seed=1, workers=0)
+
+    @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(7), np.uint8(3)])
+    def test_numpy_integer_seeds_round_trip(self, seed):
+        # The seed stays an exact int: a float would round 2**64 - 1 up to 2**64.
+        text = records.samples_to_text(simulate(COHERENT4, CFG_8_HALF, trials=300, seed=seed))
+        plain = simulate(COHERENT4, CFG_8_HALF, trials=300, seed=int(seed))
+        assert text == records.samples_to_text(plain)
+        again = records.samples_from_text(text)
+        assert again.seed == int(seed) and type(again.seed) is int
+        assert records.samples_to_text(again) == text
 
     def test_sample_set_needs_a_detector(self):
         with pytest.raises(ValueError, match="N must be a positive"):
@@ -218,8 +233,7 @@ class TestSamplePhotonNumber:
         )
         assert abs(values.mean() - 1.0) <= 5 * np.sqrt(1.0 / 10**5)
 
-    def test_rejects_out_of_range_draw(self):
-        with pytest.raises(ValueError):
-            sample_photon_number(StateSpec.fock(1), 1.0)
-        with pytest.raises(ValueError):
-            sample_photon_number(StateSpec.fock(1), -0.01)
+    @pytest.mark.parametrize("draw", [1.0, -0.01, "0.5", True, math.nan, None])
+    def test_rejects_out_of_range_draw(self, draw):
+        with pytest.raises(ValidationError, match=r"^random_draw: must lie in \[0, 1\), got "):
+            sample_photon_number(StateSpec.fock(1), draw)

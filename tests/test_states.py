@@ -297,11 +297,15 @@ class TestGeneratingFunction:
             slope = (polynomial_gf(pnd.probs, 1.0) - polynomial_gf(pnd.probs, 1.0 - h)) / h
             assert slope == pytest.approx(mean, abs=1e-4)
 
-    def test_domain_check(self):
-        with pytest.raises(ValueError):
-            generating_function(StateSpec.fock(1), 1.5)
-        with pytest.raises(ValueError):
-            generating_function(StateSpec.fock(1), -0.1)
+    @pytest.mark.parametrize("x", [1.5, -0.1, True, "0.5", b"0.5", math.nan, None])
+    def test_domain_check(self, x):
+        with pytest.raises(ValidationError, match=r"^x: must lie in \[0, 1\], got "):
+            generating_function(StateSpec.fock(3), x)
+
+    def test_integral_and_numpy_arguments(self):
+        spec = StateSpec.fock(3)
+        assert generating_function(spec, 1) == generating_function(spec, np.int64(1)) == 1.0
+        assert generating_function(spec, np.float64(0.5)) == 0.125
 
 
 class TestPhotonMoments:
