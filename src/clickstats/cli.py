@@ -61,7 +61,7 @@ def _add_state_config_args(parser: argparse.ArgumentParser) -> None:
 def _add_method_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--method", choices=tuple(METHOD_ALIASES), default="auto",
-        help="gf (generating function, leaf by leaf), dp (occupancy recurrence), or auto",
+        help="gf (exact, leaf by leaf), dp (occupancy chain over truncated law), or auto (= gf)",
     )
 
 

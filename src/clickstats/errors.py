@@ -27,11 +27,15 @@ class DomainError(ClickStatsError):
 
 
 class TruncationOverflow(DomainError):
-    """Required photon-number cutoff exceeds the hard cap of 4096."""
+    """A photon law needs more than the cap of 4096 photons, a Fock number lies
+    beyond the float range, or the squeezed quadrature needs more than its cap
+    of 2^17 nodes."""
 
 
 class NumericalInstability(DomainError):
-    """Every available evaluation path failed its validity checks."""
+    """A click law failed ClickDistribution's checks: an entry that is not
+    finite or lies below -1e-12, or a sum off 1 by more than 1e-9. Every route
+    sums nonnegative terms, so none is known to produce such a law."""
 
 
 class DegenerateMean(DomainError):
