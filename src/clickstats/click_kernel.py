@@ -47,8 +47,8 @@ import numpy as np
 from .errors import DegenerateMean, NumericalInstability, TruncationOverflow
 from .laws import binomial_pmf, law_moments
 from .states import (
-    UNIT_INTERVAL,
     MAX_NMAX,
+    UNIT_INTERVAL,
     StateSpec,
     _squeezing,
     checked_integer,
@@ -97,7 +97,6 @@ class DetectorConfig:
 
 _NU_RULE = f"must lie in [0, {MAX_DARK_PARAMETER}]"
 _N_RULE = f"must be an integer in [1, {MAX_DETECTORS}]"
-_M_RULE = f"must be an integer in [0, {MAX_NMAX}]"
 
 
 @dataclass(frozen=True)
@@ -320,7 +319,7 @@ def occupancy_distribution(m: int, N: int) -> np.ndarray:
     O_{m+1}(k) = O_m(k) k/N + O_m(k-1) (N-k+1)/N. m and N take the number
     rule of every integer input (``checked_integer``); N has no upper bound.
     """
-    m = checked_integer(m, "m", 0, MAX_NMAX, _M_RULE)
+    m = checked_integer(m, "m", 0, MAX_NMAX, f"must be an integer in [0, {MAX_NMAX}]")
     N = checked_integer(N, "N", 1, math.inf, "must be a positive integer")
     start = np.zeros(min(m, N) + 1)
     start[0] = 1.0

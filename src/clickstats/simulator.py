@@ -30,7 +30,6 @@ from .states import StateSpec, checked_integer, checked_real, make_distribution
 
 CHUNK_SIZE = 4096
 MAX_TRIALS = 10**8
-_TRIALS_RULE = f"must be an integer in [1, {MAX_TRIALS}]"
 # 1 (records without a stream tag): one uniform per detector per trial for
 # the dark clicks, one stream per bootstrap replicate. 2: one binomial dark
 # draw per trial, bootstrap replicates in seeded blocks.
@@ -170,7 +169,9 @@ def simulate(
     seeds reach 2^64, beyond a float's 53 bits. ``workers`` is accepted; it
     never changes the output.
     """
-    trials = checked_integer(trials, "trials", 1, MAX_TRIALS, _TRIALS_RULE)
+    trials = checked_integer(
+        trials, "trials", 1, MAX_TRIALS, f"must be an integer in [1, {MAX_TRIALS}]"
+    )
     exact = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
     if not (exact and 0 <= int(seed) < 2**64):
         raise ValidationError(f"seed: must be an integer in [0, 2**64), got {seed!r}")
