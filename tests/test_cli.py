@@ -681,7 +681,8 @@ class TestSqueezedAtLargeN:
         # pass; at r = 0.8 it converges from 256.
         n, r = 4096, 0.8
         b = click_kernel._dark_law(clickstats.DetectorConfig(N=N, eta=1.0))
-        sums = click_kernel._resolvent_sums(np.pi / n * np.arange(n), math.cosh(r), math.tanh(r), b, N, 1.0)
+        nodes = np.pi / n * np.arange(n)
+        sums = click_kernel._resolvent_sums(nodes, math.cosh(r), math.tanh(r), b, N, 1.0)
         _assert_printed_law(got, (sums / (n * math.cosh(r))).tolist())
 
 

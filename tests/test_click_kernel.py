@@ -306,10 +306,11 @@ SQUEEZED_CONFIGS = [c for c in EXACT_LEAF_CONFIGS if c[0] <= 128] + [(256, 0.7, 
 def _exact_law(spec, N, eta, nu):
     """mpmath click law: inclusion-exclusion up to N = 256, leaf forms above.
 
-    The terms reach 3^N, so the sum keeps about dps - N log10(3) digits:
-    420 digits leave every entry down to 1e-350 exact up to N = 128, and
-    60 + N log10(3) + 340 do the same at N = 256, where 50 + N log10(3)
-    left entries near 1e-45 wrong by about 5e-8.
+    The terms reach 3^N, so the sum keeps about dps - N log10(3) digits
+    after the decimal point, and an entry near 1e-300 needs some 312 of them
+    for 12 significant digits: 420 digits give them up to N = 128, and
+    400 + N log10(3) at N = 256 (with 50 + N log10(3), squeezed(0.8) at
+    eta = 0.7, nu = 0.05 gets an entry near 1e-127 wrong by a factor 4e25).
     """
     if N <= 256:
         with mpmath.workdps(420 if N <= 128 else 400 + math.ceil(N * math.log10(3))):
