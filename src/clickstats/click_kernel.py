@@ -47,6 +47,8 @@ import numpy as np
 from .errors import DegenerateMean, NumericalInstability, TruncationOverflow
 from .laws import binomial_pmf, law_moments
 from .states import (
+    COUNT_RULE,
+    MAX_INT64,
     MAX_NMAX,
     UNIT_INTERVAL,
     StateSpec,
@@ -103,6 +105,7 @@ _N_RULE = f"must be an integer in [1, {MAX_DETECTORS}]"
 class ClickDistribution:
     """Probabilities c_0..c_N of observing k clicks on an N-detector array.
 
+    N takes the number rule (``checked_integer``) and is stored as an int.
     Every entry is finite; entries down to -1e-12 are round-off and clip to
     0, and the sum is 1 within 1e-9 (NumericalInstability otherwise)."""
 
@@ -110,6 +113,7 @@ class ClickDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "N", checked_integer(self.N, "N", 0, MAX_INT64, COUNT_RULE))
         arr = np.array(self.probs, dtype=np.float64)
         if arr.shape != (self.N + 1,):
             raise ValueError(

@@ -1,11 +1,12 @@
 """Point estimates and bootstrap intervals for Q_B and Q_M from click records.
 
-Point estimates are plug-in moment estimates with the unbiased (n-1) sample
-variance; the population-variance variant is exposed because it matches the
-exact-kernel value of the empirical frequency distribution identically.
-Uncertainty comes from a percentile bootstrap: the sampling distribution of
-Q_B is skewed near its boundaries, so quantiles of the resampled statistic
-are preferred over symmetric standard-error intervals.
+Point estimates are plug-in moment estimates with the (n-1) sample
+variance. The population-variance value is the exact kernel's on
+``empirical_frequencies`` (``qb_parameter`` or ``mandel_q``), and for either
+statistic estimate + 1 = (that value + 1) n / (n - 1). Uncertainty comes
+from a percentile bootstrap: the sampling distribution of Q_B is skewed
+near its boundaries, so quantiles of the resampled statistic are preferred
+over symmetric standard-error intervals.
 
 Resamples are drawn as multinomial counts over the observed click values,
 which is exactly an n-out-of-n resample with replacement reduced to its
@@ -19,34 +20,34 @@ are kept). A block is drawn in sub-blocks of at most BOOTSTRAP_CELLS
 memory is bounded whatever the replicate count and the number of distinct
 click values.
 
-``qb_estimate`` and ``mandel_q_estimate`` are one body, ``_estimate``: the
-record's checks, the histogram, the plug-in point and the report, with the
-interval from ``bootstrap_ci``.
+Every argument takes the number rule of ``states`` once per call: the
+replicate count an integer in [0, MAX_BOOTSTRAP_REPLICATES], the level a
+real in the open interval (0, 1), the seed ``checked_seed``'s when
+replicates are asked for, the worker count ``check_workers``'s, and a raw
+count sequence ``checked_counts``'s; a ClickSampleSet checked itself when
+it was built. ``qb_estimate`` and ``mandel_q_estimate`` are one body,
+``_estimate``: one histogram, the plug-in point and the report, with the
+interval from ``_interval``, which ``bootstrap_ci`` runs too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .click_kernel import (
-    DEGENERATE_MEAN_TOL,
-    MAX_DETECTORS,
-    ClickDistribution,
-    q_from_moments,
-)
+from .click_kernel import DEGENERATE_MEAN_TOL, MAX_DETECTORS, ClickDistribution, q_from_moments
 from .errors import (
-    AllResamplesDegenerate,
-    DegenerateMean,
-    InsufficientData,
-    InvalidSample,
-    ValidationError,
+    AllResamplesDegenerate, DegenerateMean, InsufficientData, InvalidSample, ValidationError,
 )
 from .laws import law_moments
-from .simulator import ClickSampleSet, check_workers
+from .simulator import MAX_BOOTSTRAP_REPLICATES, ClickSampleSet, check_workers
+from .states import (
+    COUNT_RULE, MAX_INT64, checked_counts, checked_integer, checked_real, checked_seed,
+)
 
 MIN_BOOTSTRAP_REPLICATES = 100
 MIN_BOOTSTRAP_SAMPLE = 10
@@ -66,10 +67,11 @@ STATISTICS = ("q_b", "q_m")
 class EstimateReport:
     """One estimated statistic with its percentile-bootstrap interval.
 
-    ``ci_low``/``ci_high`` are None when no bootstrap was requested. The
-    confidence level must lie in (0, 1) either way.
-    ``degenerate_resamples`` counts the bootstrap resamples discarded for a
-    degenerate mean.
+    ``ci_low``/``ci_high`` are None when no bootstrap was requested, and
+    bracket the point estimate when one was. The confidence level must lie
+    in (0, 1) either way. ``degenerate_resamples`` counts the bootstrap
+    resamples discarded for a degenerate mean. The three counts take the
+    number rule (``checked_integer``) and are stored as ints.
     """
 
     statistic_name: str
@@ -88,23 +90,38 @@ class EstimateReport:
             raise ValueError(
                 f"confidence level must lie in (0, 1), got {self.confidence_level!r}"
             )
-        if self.bootstrap_replicates > 0:
-            if not (self.ci_low <= self.point_estimate <= self.ci_high):
-                raise ValueError(
-                    "confidence interval does not bracket the point estimate"
-                )
+        for name in ("sample_size", "bootstrap_replicates", "degenerate_resamples"):
+            count = checked_integer(getattr(self, name), name, 0, MAX_INT64, COUNT_RULE)
+            object.__setattr__(self, name, count)
+        if self.bootstrap_replicates and not (
+            None not in (self.ci_low, self.ci_high)
+            and self.ci_low <= self.point_estimate <= self.ci_high
+        ):
+            raise ValueError("a bootstrap estimate needs an interval bracketing it")
 
 
-def _clicks_array(samples) -> tuple[np.ndarray, int | None]:
-    """Extract (clicks, N) from a ClickSampleSet or a raw count sequence."""
+def _clicks_array(samples, statistic: str) -> tuple[np.ndarray, int | None]:
+    """(clicks, N) of a ClickSampleSet, which checked itself, or (counts, None)
+    of a raw sequence by the count rule; Q_B needs a record's N."""
     if isinstance(samples, ClickSampleSet):
         return samples.clicks, samples.N
-    arr = np.asarray(samples, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-d sequence of counts")
-    if arr.size and arr.min() < 0:
+    if statistic == "q_b":
+        raise ValueError("Q_B estimation needs a ClickSampleSet carrying N")
+    counts = checked_counts(samples, "counts")
+    if counts.min(initial=0) < 0:
         raise InvalidSample("counts must be nonnegative integers")
-    return arr, None
+    return counts, None
+
+
+def _checked_arguments(replicates, level, seed, workers) -> tuple[int, float, int | None]:
+    """The replicate count, level, seed and worker count by the number rule;
+    the seed only when replicates are asked for."""
+    replicates = checked_integer(replicates, "bootstrap replicates", 0, MAX_BOOTSTRAP_REPLICATES,
+                                 f"must be an integer in [0, {MAX_BOOTSTRAP_REPLICATES}]")
+    level = checked_real(level, "confidence level", math.nextafter(0.0, 1.0),
+                         math.nextafter(1.0, 0.0), "must lie in (0, 1)")
+    check_workers(workers)
+    return replicates, level, checked_seed(seed) if replicates else seed
 
 
 def empirical_frequencies(samples: ClickSampleSet) -> ClickDistribution:
@@ -140,36 +157,20 @@ def _histogram(clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(clicks, return_counts=True)
 
 
-def _sample_moments(counts: np.ndarray, values: np.ndarray | None, unbiased: bool):
-    """Sample mean and variance of value-count vectors along the last axis."""
+def _sample_moments(counts: np.ndarray, values: np.ndarray | None):
+    """Sample mean and (n - 1) sample variance of value-count vectors along
+    the last axis; ``values`` names the value each count belongs to (0, 1,
+    ... when omitted)."""
     n = counts.sum(axis=-1)
     mean, variance = law_moments(counts, n, values)
-    if unbiased:
-        variance = variance * (n / (n - 1))
-    return mean, variance
-
-
-def _statistic(
-    counts: np.ndarray,
-    statistic: str,
-    N: int | None,
-    unbiased: bool,
-    values: np.ndarray | None = None,
-):
-    """Plug-in Q_B or Q_M of value-count vectors along the last axis.
-
-    ``values`` names the value each count belongs to (0, 1, ... when
-    omitted). Entries whose sample mean is degenerate come out as NaN.
-    """
-    mean, variance = _sample_moments(counts, values, unbiased)
-    return q_from_moments(mean, variance, statistic, N)
+    return mean, variance * (n / (n - 1))
 
 
 @lru_cache(maxsize=1)
 def _replicate_moments(
     values: bytes, counts: bytes, seed: int, replicates: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and unbiased variance of every bootstrap replicate of a histogram.
+    """Mean and (n - 1) variance of every bootstrap replicate of a histogram.
 
     ``values`` and ``counts`` are the int64 bytes of ``_histogram``'s arrays.
     Block b of BOOTSTRAP_BLOCK replicates comes from the stream
@@ -197,7 +198,7 @@ def _replicate_moments(
         for first in range(start, stop, step):
             rows = slice(first, min(first + step, stop))
             resampled = rng.multinomial(n, freqs, size=rows.stop - first)
-            mean[rows], variance[rows] = _sample_moments(resampled, value_arr, unbiased=True)
+            mean[rows], variance[rows] = _sample_moments(resampled, value_arr)
     mean.setflags(write=False)
     variance.setflags(write=False)
     return mean, variance
@@ -209,6 +210,34 @@ class BootstrapInterval(NamedTuple):
     ci_low: float
     ci_high: float
     discarded: int
+
+
+def _interval(
+    values: np.ndarray, counts: np.ndarray, N: int | None, statistic: str,
+    replicates: int, level: float, seed: int,
+) -> BootstrapInterval:
+    """Percentile interval of "q_b" or "q_m" over the bootstrap replicates of
+    a histogram (``_histogram``), from checked arguments."""
+    if replicates < MIN_BOOTSTRAP_REPLICATES:
+        raise InsufficientData(
+            f"bootstrap needs at least {MIN_BOOTSTRAP_REPLICATES} replicates, "
+            f"got {replicates}"
+        )
+    n = int(counts.sum())
+    if n < MIN_BOOTSTRAP_SAMPLE:
+        raise InsufficientData(
+            f"bootstrap needs at least {MIN_BOOTSTRAP_SAMPLE} samples, got {n}"
+        )
+    mean, variance = _replicate_moments(values.tobytes(), counts.tobytes(), seed, replicates)
+    scores = q_from_moments(mean, variance, statistic, N)
+    kept = scores[~np.isnan(scores)]
+    if kept.size == 0:
+        raise AllResamplesDegenerate(
+            f"all {replicates} bootstrap resamples had degenerate means"
+        )
+    alpha = 1.0 - level
+    lo, hi = np.quantile(kept, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return BootstrapInterval(float(lo), float(hi), replicates - kept.size)
 
 
 def bootstrap_ci(
@@ -228,103 +257,55 @@ def bootstrap_ci(
     """
     if statistic not in STATISTICS:
         raise ValueError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
-    check_workers(workers)
-    if replicates < MIN_BOOTSTRAP_REPLICATES:
-        raise InsufficientData(
-            f"bootstrap needs at least {MIN_BOOTSTRAP_REPLICATES} replicates, "
-            f"got {replicates}"
-        )
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"confidence level must lie in (0, 1), got {level!r}")
-    clicks, N = _clicks_array(samples)
-    if statistic == "q_b" and N is None:
-        raise ValueError("Q_B bootstrap needs a ClickSampleSet carrying N")
-    n = clicks.size
-    if n < MIN_BOOTSTRAP_SAMPLE:
-        raise InsufficientData(
-            f"bootstrap needs at least {MIN_BOOTSTRAP_SAMPLE} samples, got {n}"
-        )
-    values, counts = _histogram(clicks)
-    mean, variance = _replicate_moments(
-        values.tobytes(), counts.tobytes(), seed, replicates
-    )
-    scores = q_from_moments(mean, variance, statistic, N)
-
-    kept = scores[~np.isnan(scores)]
-    discarded = replicates - kept.size
-    if kept.size == 0:
-        raise AllResamplesDegenerate(
-            f"all {replicates} bootstrap resamples had degenerate means"
-        )
-    alpha = 1.0 - level
-    lo, hi = np.quantile(kept, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return BootstrapInterval(float(lo), float(hi), discarded)
+    replicates, level, seed = _checked_arguments(replicates, level, seed, workers)
+    clicks, N = _clicks_array(samples, statistic)
+    return _interval(*_histogram(clicks), N, statistic, replicates, level, seed)
 
 
 def _estimate(
-    statistic: str,
-    samples,
-    unbiased: bool,
-    replicates: int,
-    level: float,
-    seed: int | None,
-    workers: int,
+    statistic: str, samples, replicates: int, level: float, seed: int | None, workers: int
 ) -> EstimateReport:
     """The plug-in estimate of "q_b" or "q_m", with its bootstrap interval
     when ``replicates`` is positive."""
-    clicks, N = _clicks_array(samples)
-    if statistic == "q_b" and N is None:
-        raise ValueError("Q_B estimation needs a ClickSampleSet carrying N")
+    replicates, level, seed = _checked_arguments(replicates, level, seed, workers)
+    clicks, N = _clicks_array(samples, statistic)
     if clicks.size < 2:
         raise InsufficientData(f"need at least 2 trials, got {clicks.size}")
     values, counts = _histogram(clicks)
-    point = float(_statistic(counts, statistic, N, unbiased, values))
+    point = float(q_from_moments(*_sample_moments(counts, values), statistic, N))
     if np.isnan(point):
         raise DegenerateMean(
             f"sample mean within {DEGENERATE_MEAN_TOL} of the boundary of [0, {N}]"
             if statistic == "q_b" else f"sample mean below {DEGENERATE_MEAN_TOL}"
         )
-    check_workers(workers)
     ci_low = ci_high = None
     discarded = 0
-    if replicates > 0:
-        if seed is None:
-            raise ValueError("a seed is required when bootstrap replicates are requested")
-        interval = bootstrap_ci(
-            samples, statistic, replicates=replicates, level=level, seed=seed, workers=workers
+    if replicates:
+        ci_low, ci_high, discarded = _interval(
+            values, counts, N, statistic, replicates, level, seed
         )
         # The percentile interval brackets the plug-in estimate in all but
         # pathological discrete cases; widen minimally rather than report an
         # interval excluding its own point estimate.
-        ci_low, ci_high = min(interval.ci_low, point), max(interval.ci_high, point)
-        discarded = interval.discarded
+        ci_low, ci_high = min(ci_low, point), max(ci_high, point)
     return EstimateReport(
-        statistic_name=statistic,
-        point_estimate=point,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        confidence_level=level,
-        sample_size=clicks.size,
-        bootstrap_replicates=max(replicates, 0),
-        degenerate_resamples=discarded,
+        statistic, point, ci_low, ci_high, level, clicks.size, replicates, discarded
     )
 
 
 def qb_estimate(
     samples: ClickSampleSet,
-    unbiased: bool = True,
     bootstrap_replicates: int = 0,
     level: float = DEFAULT_LEVEL,
     seed: int | None = None,
     workers: int = 1,
 ) -> EstimateReport:
     """Plug-in Q_B estimate N s^2 / (m (N - m)) - 1 from a click record."""
-    return _estimate("q_b", samples, unbiased, bootstrap_replicates, level, seed, workers)
+    return _estimate("q_b", samples, bootstrap_replicates, level, seed, workers)
 
 
 def mandel_q_estimate(
     samples: ClickSampleSet | Sequence[int],
-    unbiased: bool = True,
     bootstrap_replicates: int = 0,
     level: float = DEFAULT_LEVEL,
     seed: int | None = None,
@@ -335,4 +316,4 @@ def mandel_q_estimate(
     Works on click records (reproducing the misleading negative values
     binomial clicks produce) and on photon-count records alike.
     """
-    return _estimate("q_m", samples, unbiased, bootstrap_replicates, level, seed, workers)
+    return _estimate("q_m", samples, bootstrap_replicates, level, seed, workers)

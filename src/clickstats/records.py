@@ -22,12 +22,7 @@ from .click_kernel import (
     DetectorConfig,
     NonclassicalityReport,
 )
-from .errors import (
-    InsufficientData,
-    InvalidSample,
-    NumericalInstability,
-    ParseError,
-)
+from .errors import InsufficientData, NumericalInstability, ParseError, ValidationError
 from .estimators import EstimateReport
 from .simulator import ClickSampleSet
 from .states import parse_state_spec
@@ -203,7 +198,10 @@ def samples_from_text(text: str) -> ClickSampleSet:
     ``clicks`` header, then one integer per line, stripped, with blank and
     ``#`` lines skipped. A record as written here (the first ``clicks``
     line followed only by short digit lines) takes a vectorized path;
-    every other text is read line by line by the same rules.
+    every other text is read line by line by the same rules. The reader
+    checks what is about the file: a record with no clicks, a preamble value
+    that is not an integer, and a declared trial count that the clicks do
+    not match. The record checks its fields itself (``ClickSampleSet``).
     """
     clicks = None
     # The leading newline also finds a header on the first line.
@@ -225,11 +223,6 @@ def samples_from_text(text: str) -> ClickSampleSet:
     if "N" not in meta:
         raise ParseError("sample file preamble is missing N")
     N = _parse_int(meta, "N")
-    if not 1 <= N < 2**63:
-        raise ParseError(f"preamble N={meta['N']!r} is not a positive 64-bit integer")
-    if clicks.min() < 0 or clicks.max() > N:
-        raise InvalidSample(f"click records must lie in [0, {N}]")
-
     seed = _parse_int(meta, "seed") if "seed" in meta else 0
     trials = clicks.size
     if "trials" in meta:
@@ -247,10 +240,6 @@ def samples_from_text(text: str) -> ClickSampleSet:
     if "config" in meta:
         raw_cfg = _read_json(meta["config"], "preamble config", ("N", "eta", "nu"))
         config_echo = DetectorConfig(**raw_cfg)
-        if config_echo.N != N:
-            raise ParseError(
-                f"preamble config echoes N={config_echo.N}, but the preamble declares N={N}"
-            )
 
     return ClickSampleSet(
         N=N,
@@ -372,7 +361,7 @@ def _report_parser(what: str):
             try:
                 return parse(text, fmt)
             except (ArithmeticError, LookupError, TypeError, ValueError,
-                    NumericalInstability) as exc:
+                    NumericalInstability, ValidationError) as exc:
                 raise ParseError(f"malformed {what}: {exc}") from None
 
         return parsed

@@ -18,8 +18,10 @@ A StateSpec checks itself when it is built (``__post_init__``), so every
 spec that exists is valid: a bad field, of the wrong type or out of range,
 raises ValidationError naming its path, and no function downstream checks a
 spec again. ``checked_real`` is the one rule for a real input, here and in
-the detector config. Photon laws are cut where a closed-form tail bound
-falls below TAIL_TOLERANCE.
+the detector config; ``checked_integer``, ``checked_seed`` and
+``checked_counts`` are its forms for an integer, a seed and an array of
+counts, which the record and estimator code take too. Photon laws are cut
+where a closed-form tail bound falls below TAIL_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ MIXTURE_WEIGHT_TOL = 1e-9
 EXPLICIT_SUM_TOL = 1e-6
 TAIL_TOLERANCE = 1e-12
 UNIT_INTERVAL = "must lie in [0, 1]"
+MAX_INT64 = 2**63 - 1
+COUNT_RULE = "must be an integer in [0, 2**63)"
 
 
 # Concrete types, not numbers.Real: the ABC check costs about 0.5 us per field,
@@ -67,10 +71,40 @@ def checked_real(value: object, path: str, low: float, high: float, rule: str) -
 
 def checked_integer(value: object, path: str, low: float, high: float, rule: str) -> int:
     """``checked_real`` with an integral value, returned as an exact int:
-    8 and 8.0 pass, 8.5, True and "8" do not."""
-    if not checked_real(value, path, low, high, rule).is_integer():
-        raise ValidationError(f"{path}: {rule}, got {value!r}")
-    return int(value)
+    8 and 8.0 pass, 8.5, True and "8" do not. The float test takes the
+    bounds as floats, then the int is compared with them exactly: as floats,
+    2**63 - 1 and 2**63 are one number."""
+    number = checked_real(value, path, float(low), float(high), rule)
+    if number.is_integer() and low <= int(value) <= high:
+        return int(value)
+    raise ValidationError(f"{path}: {rule}, got {value!r}")
+
+
+def checked_seed(seed: object) -> int:
+    """The one rule for a seed: a Python or numpy integer other than a bool,
+    in [0, 2^64), kept exact (seeds reach 2^64, beyond a float's 53 bits);
+    otherwise ValidationError."""
+    exact = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (exact and 0 <= int(seed) < 2**64):
+        raise ValidationError(f"seed: must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
+def checked_counts(values: object, path: str) -> np.ndarray:
+    """The one rule for an array of counts: a 1-d array of an integer dtype,
+    or of floats that are all finite, integral and inside int64, returned as
+    int64; otherwise ValidationError. Bool, text and object arrays are never
+    counts. The range of each count is the caller's rule."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    whole = kind in "iu" or kind == "f" and bool(
+        ((np.floor(arr) == arr) & (np.abs(arr) < 2.0**63)).all()
+    )
+    if arr.ndim != 1 or not whole:
+        raise ValidationError(
+            f"{path}: must be a 1-d array of integers, got {arr.dtype} of shape {arr.shape}"
+        )
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -317,11 +317,12 @@ def samples_from_text_by_lines(text: str):
     It walks every line and converts each click with ``int``, so it states
     the accepted grammar directly: stripped lines, blank lines and ``#``
     lines skipped after the header, one integer per line. The additions are
-    the ``stream`` preamble tag, an integer when present, and the rule that a
-    ``config`` echo repeats the preamble's N.
+    the ``stream`` preamble tag, an integer when present. The ranges of N, the
+    clicks, the seed and the stream, and the rule that a ``config`` echo
+    repeats N, are the record's own checks (``ClickSampleSet``).
     """
     from clickstats import ClickSampleSet, DetectorConfig
-    from clickstats.errors import InsufficientData, InvalidSample, ParseError
+    from clickstats.errors import InsufficientData, ParseError
     from clickstats.states import parse_state_spec
 
     meta: dict[str, str] = {}
@@ -361,14 +362,10 @@ def samples_from_text_by_lines(text: str):
             raise ParseError(f"preamble {key} is not an integer")
 
     N = integer("N")
-    if not 1 <= N < 2**63:
-        raise ParseError("preamble N is not a positive 64-bit integer")
     try:
         clicks = np.asarray(rows, dtype=np.int64)
     except OverflowError:
         raise ParseError("click records must fit a 64-bit integer")
-    if clicks.min() < 0 or clicks.max() > N:
-        raise InvalidSample(f"click records must lie in [0, {N}]")
     seed = integer("seed") if "seed" in meta else 0
     if "trials" in meta and integer("trials") != len(rows):
         raise ParseError("preamble trials do not match the file")
@@ -384,8 +381,6 @@ def samples_from_text_by_lines(text: str):
         if not isinstance(raw_cfg, dict) or set(raw_cfg) != {"N", "eta", "nu"}:
             raise ParseError("preamble config must carry exactly N, eta, nu")
         config_echo = DetectorConfig(**raw_cfg)
-        if config_echo.N != N:
-            raise ParseError("preamble config N differs from the preamble N")
     return ClickSampleSet(
         N=N, clicks=clicks, seed=seed, trials=len(rows),
         config_echo=config_echo, state_echo=state_echo, stream=stream,

@@ -328,7 +328,7 @@ class TestSimulateAnalyzeRoundTrip:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
-        assert "confidence level must lie in (0, 1)" in proc.stderr
+        assert "confidence level: must lie in (0, 1)" in proc.stderr
 
     def test_analyze_empty_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -439,7 +439,7 @@ class TestWorkerRule:
         capsys.readouterr()
         assert main(sim + ["--workers", "0"]) == 2
         expected = capsys.readouterr().err
-        assert "workers must be positive" in expected
+        assert "workers: must be a positive integer" in expected
         for extra in ([], ["--bootstrap", "200", "--seed", "5"]):
             code = main(["analyze", "--in", str(sample_file), "--workers", "0", *extra])
             assert code == 2
@@ -449,7 +449,7 @@ class TestWorkerRule:
         sample_file = tmp_path / "s.csv"
         sample_file.write_text("# N=0\nclicks\n0\n0\n0\n")
         assert main(["analyze", "--in", str(sample_file)]) == 2
-        assert "ParseError" in capsys.readouterr().err
+        assert "ValidationError: N: " in capsys.readouterr().err
 
 
 class TestMalformedInputExitsCleanly:
@@ -491,7 +491,7 @@ class TestMalformedInputExitsCleanly:
         )
         proc = _fresh_python("-m", "clickstats", "analyze", "--in", str(sample_file))
         self._assert_usage_error(proc)
-        assert proc.stderr.startswith("error: ParseError: "), proc.stderr
+        assert proc.stderr.startswith("error: ValidationError: config_echo.N: "), proc.stderr
 
     def test_explicit_probabilities_overflowing_their_sum(self):
         self._assert_usage_error(_fresh_python(
@@ -706,6 +706,40 @@ class TestHugeClickValues:
         assert [r.statistic_name for r in rows] == ["q_b", "q_m"]
         for r in rows:
             assert all(math.isfinite(v) for v in (r.point_estimate, r.ci_low, r.ci_high))
+
+
+class TestRecordAndEstimatorRules:
+    """The estimator arguments and a record's fields exit 2 when out of range."""
+
+    @pytest.mark.parametrize("replicates", ["-7", "1000001", "1000000000000"])
+    def test_bootstrap_outside_its_range(self, tmp_path, replicates):
+        # 10^12 replicates would ask numpy for 7.3 TiB of moments.
+        sample_file = tmp_path / "s.csv"
+        sample_file.write_text("# N=4\nclicks\n" + "0\n1\n2\n" * 5)
+        proc = _fresh_python("-c", (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from clickstats.cli import main\n"
+            f"sys.exit(main(['analyze', '--in', {str(sample_file)!r}, "
+            f"'--bootstrap', {replicates!r}, '--seed', '1']))\n"
+        ))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(
+            "error: ValidationError: bootstrap replicates: must be an integer in [0, 1000000]"
+        ), proc.stderr
+
+    @pytest.mark.parametrize("line,path", [
+        ("# seed=-1", "seed"), ("# seed=18446744073709551616", "seed"),
+        ("# stream=0", "stream"), ("# stream=-2", "stream"),
+    ])
+    def test_record_seed_and_stream(self, tmp_path, capsys, line, path):
+        sample_file = tmp_path / "s.csv"
+        sample_file.write_text(f"# N=4\n{line}\nclicks\n0\n1\n2\n")
+        assert main(["analyze", "--in", str(sample_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: ValidationError: {path}: must ")
 
 
 @pytest.fixture(scope="module")

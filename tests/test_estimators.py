@@ -1,5 +1,6 @@
 """Tests for empirical frequencies, plug-in estimates and the bootstrap."""
 
+import math
 import os
 import subprocess
 import sys
@@ -19,26 +20,34 @@ from clickstats import (
     mandel_q,
     mandel_q_estimate,
     qb_estimate,
+    qb_parameter,
     simulate,
 )
 from clickstats import estimators
+from clickstats.click_kernel import q_from_moments
 from clickstats.estimators import (
     _BOOT_DOMAIN,
     BOOTSTRAP_BLOCK,
     STATISTICS,
     _replicate_moments,
-    _statistic,
+    _sample_moments,
 )
 from clickstats.errors import (
     AllResamplesDegenerate,
     DegenerateMean,
     InsufficientData,
     InvalidSample,
+    ValidationError,
 )
 
 
 def sample_set(clicks, N=2, seed=0):
     return ClickSampleSet(N=N, clicks=np.asarray(clicks), seed=seed, trials=len(clicks))
+
+
+def scores(rows, statistic, N):
+    """Plug-in Q_B or Q_M of each row of value counts over 0, 1, ..."""
+    return q_from_moments(*_sample_moments(rows, None), statistic, N)
 
 
 class TestEmpiricalFrequencies:
@@ -131,20 +140,22 @@ class TestMandelEstimate:
         with pytest.raises(InsufficientData):
             mandel_q_estimate([5])
 
-    def test_population_variance_matches_kernel_on_frequencies(self):
-        rng = np.random.default_rng(31)
-        clicks = rng.integers(0, 9, size=500)
+    @pytest.mark.parametrize("clicks", [
+        np.random.default_rng(31).integers(0, 9, size=500), [0, 1, 1, 2, 3, 0, 2],
+    ])
+    @pytest.mark.parametrize("estimate,kernel", [
+        (qb_estimate, qb_parameter), (mandel_q_estimate, mandel_q),
+    ])
+    def test_estimate_is_the_kernel_on_frequencies_with_n_minus_1(
+        self, clicks, estimate, kernel
+    ):
+        # The (n - 1) sample variance against the population variance of the
+        # empirical frequencies: estimate + 1 = (kernel value + 1) n / (n - 1).
         samples = sample_set(clicks, N=8)
-        plug_in = mandel_q_estimate(samples, unbiased=False).point_estimate
-        exact = mandel_q(empirical_frequencies(samples))
-        assert plug_in == pytest.approx(exact, abs=1e-12)
-
-    def test_unbiased_vs_population_factor(self):
-        clicks = [0, 1, 1, 2, 3, 0, 2]
-        n = len(clicks)
-        pop = mandel_q_estimate(clicks, unbiased=False).point_estimate
-        unb = mandel_q_estimate(clicks, unbiased=True).point_estimate
-        assert unb + 1 == pytest.approx((pop + 1) * n / (n - 1), rel=1e-12)
+        n = samples.trials
+        exact = kernel(empirical_frequencies(samples))
+        got = estimate(samples).point_estimate
+        assert got + 1 == pytest.approx((exact + 1) * n / (n - 1), rel=1e-12)
 
 
 class TestBootstrap:
@@ -162,15 +173,15 @@ class TestBootstrap:
 
     def test_worker_count_must_be_positive(self):
         samples = sample_set([0, 1, 1, 2, 0, 1, 2, 1, 0, 1, 1, 2], N=2)
-        with pytest.raises(ValueError, match="workers must be positive"):
+        with pytest.raises(ValidationError, match="^workers: must be a positive integer"):
             bootstrap_ci(samples, "q_b", replicates=200, seed=5, workers=0)
 
     def test_block_statistic_matches_expanded_samples(self):
         rng = np.random.default_rng(4)
         counts = rng.multinomial(50, [0.1, 0.0, 0.3, 0.4, 0.2], size=20)
         counts[3] = [50, 0, 0, 0, 0]  # degenerate mean: NaN for both statistics
-        q_b = _statistic(counts, "q_b", 4, unbiased=True)
-        q_m = _statistic(counts, "q_m", None, unbiased=True)
+        q_b = scores(counts, "q_b", 4)
+        q_m = scores(counts, "q_m", None)
         for row, b, m in zip(counts, q_b, q_m):
             x = np.repeat(np.arange(5), row)
             mean, var = x.mean(), x.var(ddof=1)
@@ -220,7 +231,7 @@ class TestBootstrap:
 
     def test_level_range(self):
         samples = sample_set([0, 1, 1, 2, 0, 1, 2, 1, 0, 1], N=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             bootstrap_ci(samples, "q_b", replicates=200, level=1.0, seed=1)
 
     def test_interval_brackets_point_estimate(self):
@@ -234,7 +245,7 @@ class TestBootstrap:
 
     def test_seed_required_for_bootstrap(self):
         samples = sample_set([0, 1, 1, 2, 0, 1, 2, 1, 0, 1], N=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             qb_estimate(samples, bootstrap_replicates=200)
 
     def test_interval_covers_truth_for_coherent(self):
@@ -297,12 +308,12 @@ class TestSharedBootstrapDraw:
         n = samples.trials
         freqs = np.bincount(samples.clicks) / n
         for statistic, N in (("q_b", samples.N), ("q_m", None)):
-            scores = []
+            values = []
             for block, start in enumerate(range(0, 600, BOOTSTRAP_BLOCK)):
                 rng = np.random.default_rng(np.random.SeedSequence([_BOOT_DOMAIN, 9, block]))
                 rows = rng.multinomial(n, freqs, size=min(BOOTSTRAP_BLOCK, 600 - start))
-                scores.extend(_statistic(rows, statistic, N, unbiased=True))
-            expected = tuple(np.quantile(scores, [0.025, 0.975]))
+                values.extend(scores(rows, statistic, N))
+            expected = tuple(np.quantile(values, [0.025, 0.975]))
             got = bootstrap_ci(samples, statistic, replicates=600, seed=9)
             assert (got.ci_low, got.ci_high) == expected
 
@@ -332,12 +343,12 @@ class TestDistinctValueHistogram:
         clicks = rng.choice([1030, 1031, 1500, 1502, 1990], size=400)
         samples = ClickSampleSet(N=2000, clicks=clicks, seed=0, trials=clicks.size)
         n, freqs = clicks.size, np.bincount(clicks) / clicks.size
-        scores = []
+        values = []
         for block, start in enumerate(range(0, 300, BOOTSTRAP_BLOCK)):
             draw = np.random.default_rng(np.random.SeedSequence([_BOOT_DOMAIN, 6, block]))
             rows = draw.multinomial(n, freqs, size=min(BOOTSTRAP_BLOCK, 300 - start))
-            scores.extend(_statistic(rows, "q_b", 2000, unbiased=True))
-        expected = np.quantile(scores, [0.025, 0.975])
+            values.extend(scores(rows, "q_b", 2000))
+        expected = np.quantile(values, [0.025, 0.975])
         got = bootstrap_ci(samples, "q_b", replicates=300, seed=6)
         assert (got.ci_low, got.ci_high) == pytest.approx(tuple(expected), rel=1e-12)
 
@@ -350,14 +361,14 @@ class TestErrorPrecedence:
 
     @pytest.mark.parametrize("estimate", [qb_estimate, mandel_q_estimate])
     @pytest.mark.parametrize("clicks,kwargs,error,start", [
-        (RECORD, dict(workers=0), ValueError, "workers must be positive"),
-        (RECORD, dict(BOOT, workers=0), ValueError, "workers must be positive"),
+        (RECORD, dict(workers=0), ValidationError, "workers: must be a positive integer"),
+        (RECORD, dict(BOOT, workers=0), ValidationError, "workers: must be a positive integer"),
         ([1], {}, InsufficientData, "need at least 2 "),
         ([0] * 12, {}, DegenerateMean, "sample mean "),
         (RECORD, dict(BOOT, bootstrap_replicates=50), InsufficientData,
          "bootstrap needs at least 100 replicates, got 50"),
-        (RECORD, dict(BOOT, level=7), ValueError, "confidence level must lie in (0, 1)"),
-        (RECORD, dict(bootstrap_replicates=200), ValueError, "a seed is required"),
+        (RECORD, dict(BOOT, level=7), ValidationError, "confidence level: must lie in (0, 1)"),
+        (RECORD, dict(bootstrap_replicates=200), ValidationError, "seed: must be an integer"),
     ], ids=["workers", "workers-bootstrap", "one-trial", "degenerate", "replicates",
             "level", "no-seed"])
     def test_error_and_message(self, estimate, clicks, kwargs, error, start):
@@ -404,3 +415,114 @@ class TestBootstrapMemory:
         _replicate_moments.cache_clear()
         assert [bootstrap_ci(samples, s, replicates=600, seed=8) for s in STATISTICS] == full
         _replicate_moments.cache_clear()
+
+
+class TestArgumentRules:
+    """Every estimator argument takes the number rule once per call."""
+
+    RECORD = [0, 1, 1, 2, 0, 1, 2, 1, 0, 1, 1, 2]
+
+    @pytest.mark.parametrize("counts", [
+        [0.5, 1.5, 2.5, 3.9], ["1", "2", "3"], [True, False, True], [1, None, 2],
+        [[1, 2], [3, 4]], [1.0, math.nan], [1.0, math.inf], [1e19, 1.0], [2**70, 1],
+    ], ids=["fractions", "text", "bools", "object", "2-d", "nan", "inf", "beyond-int64",
+            "big-int"])
+    def test_count_rule_rejects(self, counts):
+        calls = (lambda: mandel_q_estimate(counts),
+                 lambda: bootstrap_ci(counts, "q_m", replicates=100, seed=1))
+        for call in calls:
+            with pytest.raises(ValidationError, match=r"^counts: must be a 1-d array of integers"):
+                call()
+
+    def test_whole_floats_and_small_integers_are_counts(self):
+        expected = mandel_q_estimate(self.RECORD, bootstrap_replicates=100, seed=4)
+        for counts in (np.array(self.RECORD, dtype=np.float64), np.array(self.RECORD, np.uint8)):
+            assert mandel_q_estimate(counts, bootstrap_replicates=100, seed=4) == expected
+
+    @pytest.mark.parametrize("estimate", [qb_estimate, mandel_q_estimate])
+    @pytest.mark.parametrize("replicates", [-7, 10**6 + 1, 10**12, 200.5, True, "200", math.nan])
+    def test_replicate_rule(self, estimate, replicates):
+        with pytest.raises(ValidationError,
+                           match=r"^bootstrap replicates: must be an integer in \[0, 1000000\]"):
+            estimate(sample_set(self.RECORD), bootstrap_replicates=replicates, seed=1)
+
+    def test_whole_float_replicates_count(self):
+        a = qb_estimate(sample_set(self.RECORD), bootstrap_replicates=200.0, seed=1)
+        assert a == qb_estimate(sample_set(self.RECORD), bootstrap_replicates=200, seed=1)
+        assert type(a.bootstrap_replicates) is int
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 7, math.nan, True, "0.9", None])
+    def test_level_rule(self, level):
+        for call in (lambda: qb_estimate(sample_set(self.RECORD), level=level),
+                     lambda: bootstrap_ci(sample_set(self.RECORD), "q_b", 200, level, seed=1)):
+            with pytest.raises(ValidationError, match=r"^confidence level: must lie in \(0, 1\)"):
+                call()
+
+    @pytest.mark.parametrize("level", [math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)])
+    def test_level_bounds_are_the_nearest_floats_inside(self, level):
+        report = qb_estimate(sample_set(self.RECORD), bootstrap_replicates=200, level=level,
+                             seed=1)
+        assert report.confidence_level == level
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "5", True, None])
+    def test_seed_rule(self, seed):
+        calls = (lambda: qb_estimate(sample_set(self.RECORD), bootstrap_replicates=200, seed=seed),
+                 lambda: bootstrap_ci(sample_set(self.RECORD), "q_b", seed=seed))
+        for call in calls:
+            with pytest.raises(ValidationError, match=r"^seed: must be an integer in \[0, 2\*\*64\)"):
+                call()
+
+    def test_numpy_seeds_are_exact(self):
+        big = np.uint64(2**64 - 1)
+        record = sample_set(self.RECORD)
+        assert bootstrap_ci(record, "q_b", seed=big) == bootstrap_ci(record, "q_b", seed=2**64 - 1)
+
+    def test_seed_is_not_read_without_replicates(self):
+        assert qb_estimate(sample_set(self.RECORD), seed=-1) == qb_estimate(sample_set(self.RECORD))
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True, "2", None])
+    def test_worker_rule(self, workers):
+        for call in (lambda: qb_estimate(sample_set(self.RECORD), workers=workers),
+                     lambda: bootstrap_ci(sample_set(self.RECORD), "q_b", seed=1, workers=workers)):
+            with pytest.raises(ValidationError, match="^workers: must be a positive integer"):
+                call()
+
+
+class TestOneHistogramPerEstimate:
+    """An estimate reads its record and counts its histogram once, interval included."""
+
+    @pytest.mark.parametrize("kwargs", [{}, dict(bootstrap_replicates=200, seed=3)])
+    @pytest.mark.parametrize("estimate,record", [
+        (qb_estimate, sample_set([0, 1, 1, 2, 0, 1, 2, 1, 0, 1, 1, 2])),
+        (mandel_q_estimate, sample_set([0, 1, 1, 2, 0, 1, 2, 1, 0, 1, 1, 2])),
+        (mandel_q_estimate, [0, 1, 1, 2, 0, 1, 2, 1, 0, 1, 1, 2]),
+    ])
+    def test_once_per_call(self, monkeypatch, estimate, record, kwargs):
+        calls = []
+        for name in ("_clicks_array", "_histogram"):
+            original = getattr(estimators, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(estimators, name, counted)
+        report = estimate(record, **kwargs)
+        assert sorted(calls) == ["_clicks_array", "_histogram"]
+        assert (report.ci_low is None) == (not kwargs)
+
+
+class TestReplicateCap:
+    def test_peak_memory_at_the_cap(self):
+        # About 41 B per replicate: the moments, the scores, the kept copy
+        # and the quantile's partition.
+        samples = sample_set([0, 1, 1, 2, 0, 1, 2, 1, 0, 1, 1, 2])
+        _replicate_moments.cache_clear()
+        tracemalloc.start()
+        try:
+            qb_estimate(samples, bootstrap_replicates=estimators.MAX_BOOTSTRAP_REPLICATES, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _replicate_moments.cache_clear()
+        assert peak < 48 * estimators.MAX_BOOTSTRAP_REPLICATES

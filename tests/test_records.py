@@ -1,10 +1,13 @@
 """Round-trip tests for every emitted file format."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clickstats import (
+    ClickDistribution,
     ClickSampleSet,
     DetectorConfig,
     EstimateReport,
@@ -13,7 +16,13 @@ from clickstats import (
     binomial_reference,
     simulate,
 )
-from clickstats.errors import ClickStatsError, InsufficientData, InvalidSample, ParseError
+from clickstats.errors import (
+    ClickStatsError,
+    InsufficientData,
+    InvalidSample,
+    ParseError,
+    ValidationError,
+)
 from clickstats import records
 from clickstats.simulator import STREAM_VERSION
 
@@ -62,7 +71,7 @@ class TestSampleFiles:
     def test_config_echo_must_repeat_n(self):
         text = '# N=8\n# config={"N":%d,"eta":0.5,"nu":0.0}\nclicks\n1\n2\n3\n1\n'
         assert records.samples_from_text(text % 8).config_echo.N == 8
-        with pytest.raises(ParseError, match="echoes N=16, but the preamble declares N=8"):
+        with pytest.raises(ValidationError, match="config_echo.N: must be N=8, got 16"):
             records.samples_from_text(text % 16)
 
     def test_malformed_rows(self):
@@ -206,13 +215,157 @@ def _sample_texts(draw):
     return newline.join(pre + [draw(_HEADER)] + body) + end
 
 
+def _record_tuple(got):
+    return (got.N, got.seed, got.trials, got.stream, got.clicks.tolist(),
+            got.state_echo, got.config_echo)
+
+
 def _outcome(reader, text):
     try:
         got = reader(text)
     except (ClickStatsError, ValueError) as exc:
         return type(exc)
-    return (got.N, got.seed, got.trials, got.stream, got.clicks.tolist(),
-            got.state_echo, got.config_echo)
+    return _record_tuple(got)
+
+
+_ODD_NUMBERS = st.sampled_from([True, "3", "x", 2.5, math.nan, None, -1, 0, 2**63, 2**64])
+_STATE_ECHOES = st.sampled_from([
+    StateSpec.coherent(1.5), StateSpec.fock(2), StateSpec.explicit([0.25, 0.75]),
+    StateSpec.mixture([(0.5, StateSpec.thermal(0.3)), (0.5, StateSpec.squeezed_vacuum(0.4))]),
+])
+
+
+@st.composite
+def _record_fields(draw):
+    """ClickSampleSet fields, mostly valid, sometimes of a wrong type or range."""
+    N = draw(_mostly(st.integers(1, 12), st.one_of(
+        st.integers(1, 2**63 - 1), st.sampled_from([2.0, np.uint16(5)]), _ODD_NUMBERS,
+    )))
+    top = int(N) if isinstance(N, (int, float, np.integer)) and 1 <= N < 2**63 else 12
+    clicks = draw(st.lists(st.integers(0, top), min_size=1, max_size=12))
+    clicks = draw(_mostly(st.just(clicks), st.sampled_from([
+        [float(c) for c in clicks], np.array(clicks, dtype=np.uint64), [c + 0.5 for c in clicks],
+        [str(c) for c in clicks], [c > 0 for c in clicks], [*clicks[:-1], None], [-1, *clicks],
+    ])))
+    config = DetectorConfig(N=top if top <= 1024 else 1, eta=draw(st.floats(0, 1)),
+                            nu=draw(st.floats(0, 10)))
+    return dict(
+        N=N,
+        clicks=clicks,
+        seed=draw(_mostly(st.integers(0, 2**64 - 1),
+                          st.one_of(st.just(np.uint64(2**64 - 1)), _ODD_NUMBERS))),
+        trials=draw(_mostly(st.just(len(clicks)),
+                            st.sampled_from([len(clicks) + 1, float(len(clicks))]))),
+        config_echo=draw(_mostly(st.sampled_from([None, config]),
+                                 st.sampled_from(["config", DetectorConfig(N=3, eta=0.5)]))),
+        state_echo=draw(_mostly(st.one_of(st.none(), _STATE_ECHOES), st.just("state"))),
+        stream=draw(_mostly(st.one_of(st.none(), st.integers(1, 2**63 - 1)),
+                            st.one_of(st.sampled_from(["v2", 2.0]), _ODD_NUMBERS))),
+    )
+
+
+@st.composite
+def _distribution_fields(draw):
+    N = draw(_mostly(st.integers(0, 8), st.sampled_from([2.0, True, "2", -1, 1.5, None])))
+    size = int(N) + 1 if isinstance(N, (int, float)) and N >= 0 and N == int(N) else 3
+    weights = np.array(draw(st.lists(st.floats(0, 1), min_size=size, max_size=size)))
+    probs = weights / weights.sum() if weights.sum() > 0 else np.eye(size)[0]
+    return N, probs
+
+
+class TestWhatBuildsRoundTrips:
+    """Every record and click distribution that can be built is written and
+    read back equal: the checks of the data model are the reader's rules."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_record_fields())
+    def test_records(self, fields):
+        try:
+            samples = ClickSampleSet(**fields)
+        except ClickStatsError:
+            return
+        text = records.samples_to_text(samples)
+        back = records.samples_from_text(text)
+        assert _record_tuple(back) == _record_tuple(samples)
+        assert all(type(v) is int for v in (back.N, back.seed, back.trials, samples.N,
+                                             samples.seed, samples.trials))
+        assert records.samples_to_text(back) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(_distribution_fields())
+    def test_distributions(self, fields):
+        try:
+            dist = ClickDistribution(*fields)
+        except (ClickStatsError, ValueError):
+            return
+        for fmt in ("table", "structured"):
+            text = records.emit_distribution(dist, fmt)
+            back = records.parse_distribution(text, fmt)
+            assert back.N == dist.N and type(back.N) is type(dist.N) is int
+            assert back.probs.tolist() == [float(records.format_number(p)) for p in dist.probs]
+            assert records.emit_distribution(back, fmt) == text
+
+
+class TestRecordFieldRules:
+    """A record's N, seed and stream are the record's own rules, from a file too."""
+
+    @pytest.mark.parametrize("line,path", [
+        ("# N=0", "N"), ("# N=9223372036854775808", "N"), ("# N=99999999999999999999", "N"),
+        ("# seed=-1", "seed"), ("# seed=18446744073709551616", "seed"),
+        ("# stream=0", "stream"), ("# stream=-3", "stream"),
+        ("# stream=9223372036854775808", "stream"),
+    ])
+    def test_reader_rejects(self, line, path):
+        text = "# N=8\n" * (path != "N") + line + "\nclicks\n1\n2\n"
+        with pytest.raises(ValidationError, match=f"^{path}: must "):
+            records.samples_from_text(text)
+
+    def test_extreme_values_read(self):
+        text = "# N=9223372036854775807\n# seed=18446744073709551615\nclicks\n1\n"
+        back = records.samples_from_text(text)
+        assert (back.N, back.seed) == (2**63 - 1, 2**64 - 1)
+
+    @pytest.mark.parametrize("fields,path", [
+        (dict(seed="x"), "seed"), (dict(stream="v2"), "stream"), (dict(N=2**63), "N"),
+        (dict(N=True), "N"), (dict(trials=4), "trials"), (dict(clicks=["1", "2", "0"]), "clicks"),
+        (dict(clicks=[0.5, 1, 2]), "clicks"), (dict(state_echo="x"), "state_echo"),
+        (dict(config_echo=DetectorConfig(N=4, eta=0.5)), "config_echo.N"),
+    ])
+    def test_sample_set_rejects(self, fields, path):
+        good = dict(N=2, clicks=[0, 1, 2], seed=0, trials=3)
+        with pytest.raises(ValidationError, match=f"^{path}: must "):
+            ClickSampleSet(**{**good, **fields})
+
+    def test_sample_set_stores_ints(self):
+        samples = ClickSampleSet(N=2.0, clicks=[0.0, 1.0, 2.0], seed=np.uint8(3), trials=3.0,
+                                 stream=np.int16(2))
+        assert [type(v) for v in (samples.N, samples.seed, samples.trials, samples.stream)] \
+            == [int] * 4
+        assert samples.clicks.dtype == np.int64 and not samples.clicks.flags.writeable
+        with pytest.raises(InvalidSample, match=r"^click records must lie in \[0, 2\]"):
+            ClickSampleSet(N=2, clicks=[0, 3], seed=0, trials=2)
+
+
+class TestEstimateReportCounts:
+    ROW = dict(statistic_name="q_b", point_estimate=0.1, ci_low=None, ci_high=None,
+               confidence_level=0.95, sample_size=10, bootstrap_replicates=0)
+
+    def test_counts_take_the_number_rule(self):
+        report = EstimateReport(**{**self.ROW, "sample_size": 10.0})
+        assert type(report.sample_size) is int
+        for name in ("sample_size", "bootstrap_replicates", "degenerate_resamples"):
+            for bad in (True, -1, 2.5, "10"):
+                with pytest.raises(ValidationError, match=f"^{name}: must be an integer"):
+                    EstimateReport(**{**self.ROW, name: bad})
+
+    def test_a_bootstrap_needs_its_interval(self):
+        with pytest.raises(ValueError, match="needs an interval"):
+            EstimateReport("q_b", 0.1, None, None, 0.95, 10, 200)
+
+    @pytest.mark.parametrize("row", ["q_b,0.1,,,0.95,10,200,0", "q_b,0.1,,,0.95,-10,0,0"])
+    def test_such_a_table_is_malformed(self, row):
+        with pytest.raises(ParseError):
+            records.parse_estimates(_ESTIMATE_HEADER + row + "\n")
 
 
 class TestReaderAgainstLineOracle:

@@ -188,7 +188,7 @@ class TestPhysicalModel:
             simulate(COHERENT4, CFG_8_HALF, trials=trials, seed=seed)
 
     def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="^workers: must be a positive integer"):
             simulate(COHERENT4, CFG_8_HALF, trials=10, seed=1, workers=0)
 
     @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(7), np.uint8(3)])
@@ -202,7 +202,7 @@ class TestPhysicalModel:
         assert records.samples_to_text(again) == text
 
     def test_sample_set_needs_a_detector(self):
-        with pytest.raises(ValueError, match="N must be a positive"):
+        with pytest.raises(ValidationError, match=r"^N: must be an integer in \[1, 2\*\*63\)"):
             ClickSampleSet(N=0, clicks=np.zeros(3, dtype=np.int64), seed=0, trials=3)
 
 

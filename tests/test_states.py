@@ -15,7 +15,13 @@ from clickstats import (
     state_from_dict,
 )
 from clickstats.errors import TruncationOverflow, ValidationError
-from clickstats.states import polynomial_gf, state_moments
+from clickstats.states import (
+    checked_counts,
+    checked_integer,
+    checked_seed,
+    polynomial_gf,
+    state_moments,
+)
 
 CATALOG = [
     StateSpec.coherent(0.0),
@@ -248,6 +254,46 @@ class TestValidation:
         for spec in CATALOG:
             again = state_from_dict(spec.to_dict())
             assert again == spec
+
+
+class TestNumberRules:
+    """The integer, seed and count forms of the number rule."""
+
+    @pytest.mark.parametrize("value,ok", [
+        (2**63 - 1, True), (2**63, False), (np.uint64(2**63), False), (2.0**63, False),
+        (np.uint64(2**63 - 1), True), (2.0**62, True), (0, False), (True, False),
+    ])
+    def test_integer_bounds_are_exact(self, value, ok):
+        # As floats 2**63 - 1 and 2**63 are one number; the ints are not.
+        args = ("N", 1, 2**63 - 1, "must be an integer in [1, 2**63)")
+        if ok:
+            assert checked_integer(value, *args) == int(value)
+        else:
+            with pytest.raises(ValidationError, match=r"^N: must be an integer in \[1, 2\*\*63\)"):
+                checked_integer(value, *args)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int8(3)])
+    def test_seeds(self, seed):
+        assert checked_seed(seed) == int(seed) and type(checked_seed(seed)) is int
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True, "5", None, np.float64(2)])
+    def test_not_seeds(self, seed):
+        with pytest.raises(ValidationError, match=r"^seed: must be an integer in \[0, 2\*\*64\)"):
+            checked_seed(seed)
+
+    @pytest.mark.parametrize("values", [
+        [1, 2], np.array([1, 2], np.uint8), [1.0, 2.0], np.array([1.0, 2.0], np.float32), [],
+    ])
+    def test_counts(self, values):
+        got = checked_counts(values, "c")
+        assert got.dtype == np.int64 and got.tolist() == [int(v) for v in values]
+
+    @pytest.mark.parametrize("values", [
+        [1.5], ["1"], [True], [b"1"], [1, None], [[1]], 3, [math.nan], [-math.inf], [2.0**63],
+    ])
+    def test_not_counts(self, values):
+        with pytest.raises(ValidationError, match="^c: must be a 1-d array of integers"):
+            checked_counts(values, "c")
 
 
 class TestGeneratingFunction:
