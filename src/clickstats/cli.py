@@ -5,9 +5,11 @@ e.g. DegenerateMean), 2 for usage and parse errors, among them a user-named
 file (``--state``, ``--in``, ``--out``) that cannot be read, decoded or
 written. The four state verbs build their StateSpec and DetectorConfig once,
 and those check every value; a sweep point is the same spec or config with
-one field replaced, checked again as it is built. Randomized verbs demand an
-explicit --seed; reproducibility is part of the contract, so there is no
-wall-clock default.
+one field replaced, checked again as it is built. ``qb`` and every ``sweep``
+row take their numbers from one function, ``click_kernel.click_statistics``.
+Randomized verbs demand an explicit --seed; reproducibility is part of the
+contract, so there is no wall-clock default. A file named by ``--out`` is
+written by ``records.write_text``.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from . import records
 from .click_kernel import (
     DetectorConfig,
     click_distribution,
-    click_moments,
+    click_statistics,
     nonclassicality_report,
-    q_value,
 )
 from .errors import DomainError, ParseError, ValidationError
 from .estimators import mandel_q_estimate, qb_estimate
@@ -127,12 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ParseError(f"cannot write output file {out!r}: {exc}") from None
+    else:
+        records.write_text(out, text)
 
 
 def _sweep_grid(args) -> np.ndarray:
@@ -175,19 +172,12 @@ def run_sweep(
     grid: np.ndarray,
     method: str = "auto",
 ) -> list[tuple[float, float, float, float, float]]:
-    """One row per grid point: (axis value, Q_B, Q_M on clicks, mean, variance)."""
+    """One row per grid point: (axis value, Q_B, Q_M on clicks, mean, variance),
+    the point's ``click_statistics``."""
     rows = []
     for value in grid:
         pt_spec, pt_config = _sweep_point(spec, config, axis, float(value))
-        dist = click_distribution(pt_spec, pt_config, method)
-        mean, variance = click_moments(dist)
-        rows.append((
-            float(value),
-            q_value(mean, variance, "q_b", pt_config.N),
-            q_value(mean, variance, "q_m"),
-            mean,
-            variance,
-        ))
+        rows.append((float(value), *click_statistics(pt_spec, pt_config, method)))
     return rows
 
 

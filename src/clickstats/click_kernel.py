@@ -18,8 +18,10 @@ Two routes evaluate c:
   resolvents (I - q T^2)^-1 b. Every term of each is nonnegative. A photon
   law beyond MAX_NMAX photons, or a squeezed leaf whose rule needs more than
   QUADRATURE_CAP nodes, raises TruncationOverflow.
-- Path B ("occupancy_dp"): the chain weighted by the truncated photon-number
-  law; the independent route Path A is checked against.
+- Path B ("occupancy_dp"): ``_photon_chain``, the helper Path A runs for a
+  Fock or explicit leaf, over the whole state's truncated photon-number law
+  (a mixture's law is the weight-sum of its leaves'); the independent route
+  Path A is checked against.
 
 ``_chain`` is the only occupancy recurrence: ``occupancy_distribution`` is
 the chain over a one-hot law at eta = 1, started from k = 0.
@@ -35,6 +37,10 @@ light. Mandel's Q_M = <(dn)^2>/<n> - 1 is provided for comparison; applied
 to click data it goes negative even for coherent light, which is exactly the
 failure Q_B repairs. ``q_from_moments`` is the one rule for both, and
 ``q_value`` its scalar form, which raises DegenerateMean.
+
+``click_statistics`` is the one path from a state to its Q numbers: the
+click law of the chosen route, its mean and variance, then Q_B and Q_M.
+``nonclassicality_report`` and every row of the CLI's ``sweep`` take it.
 """
 
 from __future__ import annotations
@@ -254,9 +260,11 @@ def _squeezed_law(leaf: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.
     return fine
 
 
-def _photon_chain(leaf: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.ndarray:
-    """The chain over the leaf's photon law; TruncationOverflow beyond its cap."""
-    return _chain(make_distribution(leaf).probs, b, config.N, config.eta)
+def _photon_chain(spec: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.ndarray:
+    """The chain over the photon law of a leaf or of a whole state (a
+    mixture's law is the weight-sum of its leaves'); TruncationOverflow
+    beyond its cap."""
+    return _chain(make_distribution(spec).probs, b, config.N, config.eta)
 
 
 # G(T) b for each pure leaf kind: the binomial law with
@@ -287,11 +295,11 @@ def _path_a(spec: StateSpec, config: DetectorConfig) -> np.ndarray:
 def _path_b(spec: StateSpec, config: DetectorConfig) -> np.ndarray:
     """Occupancy-recurrence click distribution; all terms nonnegative.
 
-    The chain starts from the dark-count law b; each photon independently
-    stays undetected with probability 1 - eta or occupies a uniformly chosen
-    detector.
+    The chain over the whole state's truncated photon law, started from the
+    dark-count law b; each photon independently stays undetected with
+    probability 1 - eta or occupies a uniformly chosen detector.
     """
-    return _chain(make_distribution(spec).probs, _dark_law(config), config.N, config.eta)
+    return _photon_chain(spec, config, _dark_law(config))
 
 
 # One route per method: "auto" is the generating-function route, and
@@ -416,19 +424,31 @@ def mandel_q(dist) -> float:
     return q_value(float(mean), float(variance), "q_m")
 
 
+def click_statistics(
+    spec: StateSpec, config: DetectorConfig, method: str = "auto"
+) -> tuple[float, float, float, float]:
+    """(Q_B, Q_M of the clicks, click mean, click variance) of a state on a
+    detector array: the one path from a state to its Q numbers, shared by
+    ``nonclassicality_report`` and every ``sweep`` row. The law comes from
+    this module's global ``click_distribution``, so a hook installed there
+    (the benchmark's law capture) sees every law."""
+    mean, variance = click_moments(click_distribution(spec, config, method))
+    q_b = q_value(mean, variance, "q_b", config.N)
+    q_m = q_value(mean, variance, "q_m")
+    return q_b, q_m, mean, variance
+
+
 def nonclassicality_report(
     spec: StateSpec, config: DetectorConfig, method: str = "auto"
 ) -> NonclassicalityReport:
     """Q_B and Q_M (clicks and photons) for a state and detector array.
 
-    The photon-side Mandel parameter comes from the state's exact photon
-    moments (``state_moments``), not from its truncated law; it is None when
-    the photon mean is degenerate (vacuum).
+    The click side is ``click_statistics``. The photon-side Mandel
+    parameter comes from the state's exact photon moments
+    (``state_moments``), not from its truncated law; it is None when the
+    photon mean is degenerate (vacuum).
     """
-    dist = click_distribution(spec, config, method)
-    mean, variance = click_moments(dist)
-    q_b = q_value(mean, variance, "q_b", config.N)
-    q_m_clicks = q_value(mean, variance, "q_m")
+    q_b, q_m_clicks, mean, variance = click_statistics(spec, config, method)
     try:
         q_m_photons = q_value(*state_moments(spec), "q_m")
     except DegenerateMean:

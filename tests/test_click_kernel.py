@@ -267,6 +267,11 @@ class TestInstabilityHandling:
         with pytest.raises(ValueError):
             click_distribution(StateSpec.fock(1), DetectorConfig(N=2, eta=1.0), "exact")
 
+    @pytest.mark.parametrize("probs", [[0.5, 0.5], [0.25] * 4, [[0.5, 0.5, 0.0]]])
+    def test_length_must_be_n_plus_1(self, probs):
+        with pytest.raises(ValueError, match=r"^click probabilities must have length N\+1=3"):
+            ClickDistribution(2, probs)
+
 
 # A 25-entry law with weight on every photon number, p_n ~ (n + 1) 0.8^n.
 _RAMP = [(n + 1) * 0.8**n for n in range(25)]
@@ -602,6 +607,11 @@ class TestMandelQ:
     def test_degenerate(self):
         with pytest.raises(DegenerateMean):
             mandel_q([1.0, 0.0])
+
+    @pytest.mark.parametrize("probs", [[], [[0.5, 0.5]]])
+    def test_empty_or_2d_sequence_rejected(self, probs):
+        with pytest.raises(ValueError, match="^expected a nonempty 1-d probability sequence"):
+            mandel_q(probs)
 
 
 class TestNonclassicalityReport:

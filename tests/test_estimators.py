@@ -63,6 +63,19 @@ class TestEmpiricalFrequencies:
         with pytest.raises((InvalidSample, ValueError)):
             empirical_frequencies(sample_set([3], N=2))
 
+    def test_only_a_record(self):
+        # A raw count sequence carries no N, so it has no distribution.
+        with pytest.raises(ValidationError, match="^samples: must be a ClickSampleSet, got list$"):
+            empirical_frequencies([0, 1, 1])
+
+    def test_empty_record(self):
+        with pytest.raises(InsufficientData, match="^at least one trial is required"):
+            empirical_frequencies(sample_set([]))
+
+    def test_more_detectors_than_a_click_law_holds(self):
+        with pytest.raises(ValidationError, match="^N=1025 exceeds 1024"):
+            empirical_frequencies(sample_set([0, 1025], N=1025))
+
     def test_sums_to_one(self):
         rng = np.random.default_rng(8)
         clicks = rng.integers(0, 9, size=1000)
@@ -380,6 +393,14 @@ class TestErrorPrecedence:
     def test_qb_needs_a_record_carrying_n(self):
         with pytest.raises(ValueError, match="^Q_B estimation needs a ClickSampleSet"):
             qb_estimate(self.RECORD)
+
+    def test_negative_raw_counts(self):
+        with pytest.raises(InvalidSample, match="^counts must be nonnegative integers"):
+            mandel_q_estimate([1, -1, 2])
+
+    def test_bootstrap_of_an_unknown_statistic(self):
+        with pytest.raises(ValueError, match=r"^statistic must be one of \('q_b', 'q_m'\), got 'q_x'$"):
+            bootstrap_ci(sample_set(self.RECORD), "q_x", replicates=100, seed=1)
 
 
 class TestBootstrapMemory:

@@ -1,6 +1,7 @@
 """Round-trip tests for every emitted file format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,13 @@ class TestSampleFiles:
         assert records.samples_from_text(text % 8).config_echo.N == 8
         with pytest.raises(ValidationError, match="config_echo.N: must be N=8, got 16"):
             records.samples_from_text(text % 16)
+
+    def test_unwritable_path_is_a_parse_error(self, tmp_path):
+        # The rule of the CLI's --out: the file is named, and no OSError escapes.
+        out = simulate(StateSpec.coherent(1.0), DetectorConfig(N=2, eta=0.5), trials=10, seed=1)
+        path = str(tmp_path / "missing-dir" / "samples.csv")
+        with pytest.raises(ParseError, match=f"^cannot write output file {re.escape(repr(path))}: "):
+            records.write_samples(path, out)
 
     def test_malformed_rows(self):
         with pytest.raises(ParseError):
@@ -487,6 +495,12 @@ _DEEP = "[" * 100000
 _REPORT_BELOW_FLOOR = (
     '{"q_b":-5,"q_m_clicks":1,"q_m_photons":null,"click_mean":1,"click_variance":1}'
 )
+_REPORT_TABLE = (
+    "quantity,value\nq_b,%s\nq_m_clicks,1\nq_m_photons,\nclick_mean,1\nclick_variance,1\n"
+)
+_REPORT_JSON = (
+    '{"q_b":%s,"q_m_clicks":1,"q_m_photons":null,"click_mean":1,"click_variance":1}'
+)
 _NO_AXIS = '[{"q_b":1,"q_m_clicks":1,"click_mean":1,"click_variance":1}]'
 _ESTIMATE = (
     '{"statistic":"%s","point_estimate":0.1,"ci_low":null,"ci_high":null,'
@@ -498,7 +512,9 @@ _ESTIMATE = (
 class TestMalformedReports:
     """Every malformed report raises ParseError; each text here escaped as
     another exception (named in the id) before the codecs were shared, or
-    was accepted (``-accepted``: a NaN entry passes every comparison)."""
+    was accepted (``-accepted``: a NaN entry passes every comparison, and a
+    report number was not held finite), or takes an error branch that no
+    other test reaches (``-branch``)."""
 
     @pytest.mark.parametrize("parser,fmt,text", [
         pytest.param("distribution", "structured", _DEEP, id="dist-json-RecursionError"),
@@ -530,6 +546,19 @@ class TestMalformedReports:
         pytest.param("sweep", "structured", '[{"eta":1}]', id="sweep-json-KeyError"),
         pytest.param("sweep", "structured", "[1]", id="sweep-json-TypeError"),
         pytest.param("sweep", "table", _SWEEP_HEADER + "1,2,3,4,x\n", id="sweep-table-ValueError"),
+        pytest.param("nonclassicality", "table", _REPORT_TABLE % "nan",
+                     id="report-table-nan-accepted"),
+        pytest.param("nonclassicality", "structured", _REPORT_JSON % "1e999",
+                     id="report-json-inf-accepted"),
+        pytest.param("sweep", "structured",
+                     '[{"eta":NaN,"q_b":Infinity,"q_m_clicks":1,"click_mean":1,"click_variance":1}]',
+                     id="sweep-json-nan-inf-accepted"),
+        pytest.param("estimates", "table", _ESTIMATE_HEADER + "q_b,inf,,,0.95,10,0,0\n",
+                     id="estimates-table-inf-accepted"),
+        pytest.param("sweep", "table", _SWEEP_HEADER + "1,2,3\n", id="sweep-table-cells-branch"),
+        pytest.param("nonclassicality", "structured", '{"q_b":', id="report-json-invalid-branch"),
+        pytest.param("distribution", "table", "k,c_k\n", id="dist-table-header-only-branch"),
+        pytest.param("sweep", "structured", "[]", id="sweep-json-empty-branch"),
     ])
     def test_parse_error(self, parser, fmt, text):
         with pytest.raises(ParseError):

@@ -16,6 +16,7 @@ from clickstats import (
 )
 from clickstats.errors import TruncationOverflow, ValidationError
 from clickstats.states import (
+    PhotonNumberDistribution,
     checked_counts,
     checked_integer,
     checked_seed,
@@ -195,6 +196,8 @@ class TestValidation:
         (dict(kind="squeezed_vacuum", r=bytearray(b"0.5")),
          "state.r: must be a nonnegative real, got bytearray(b'0.5')"),
         (dict(kind="explicit", probs=[b"1"]), "state.probs[0]: must lie in [0, 1], got b'1'"),
+        (dict(kind="mixture", components=[(1.0, {"kind": "fock", "n": 1})]),
+         "state.components[0].state: not a state spec"),
     ])
     def test_field_types_are_checked_at_construction(self, spec, message):
         with pytest.raises(ValidationError) as info:
@@ -254,6 +257,19 @@ class TestValidation:
         for spec in CATALOG:
             again = state_from_dict(spec.to_dict())
             assert again == spec
+
+
+class TestPhotonNumberDistribution:
+    @pytest.mark.parametrize("probs,tail,message", [
+        ([], 0.0, "^probs must be a nonempty 1-d array"),
+        ([[1.0]], 0.0, "^probs must be a nonempty 1-d array"),
+        ([1.5, -0.5], 0.0, "^photon-number probabilities must be nonnegative"),
+        ([0.5, 0.25], 0.1, "^probability mass 0.75 inconsistent with tail bound 0.1"),
+        ([0.5, 0.6], 0.0, "^probability mass 1.1 inconsistent with tail bound 0.0"),
+    ])
+    def test_invalid_law(self, probs, tail, message):
+        with pytest.raises(ValueError, match=message):
+            PhotonNumberDistribution(np.array(probs), tail)
 
 
 class TestNumberRules:
