@@ -1,11 +1,18 @@
 """Command-line surface: dist, qb, simulate, analyze, sweep.
 
-Exit codes: 0 on success, 1 for domain errors (the message names the error,
-e.g. DegenerateMean), 2 for usage and parse errors, among them a user-named
-file (``--state``, ``--in``, ``--out``) that cannot be read, decoded or
-written. The four state verbs build their StateSpec and DetectorConfig once,
-and those check every value; a sweep point is the same spec or config with
-one field replaced, checked again as it is built. ``qb`` and every ``sweep``
+Exit codes: 0 on success, 1 for domain errors, 2 for usage and parse
+errors, among them a user-named file (``--state``, ``--in``, ``--out``)
+that cannot be read, decoded or written. Every error is named: argparse
+prints its usage and exits 2, and past it ``main`` has one handler, which
+prints ``error: <Class>: <message>`` for every ClickStatsError and exits 1
+for a DomainError (e.g. DegenerateMean) and 2 for the rest (ParseError,
+ValidationError). No other exception is caught, so an input that would
+raise one is rejected by name first, such as ``--steps`` beyond
+MAX_SWEEP_STEPS.
+
+The four state verbs build their StateSpec and DetectorConfig once, and
+those check every value; a sweep point is the same spec or config with one
+field replaced, checked again as it is built. ``qb`` and every ``sweep``
 row take their numbers from one function, ``click_kernel.click_statistics``.
 Randomized verbs demand an explicit --seed; reproducibility is part of the
 contract, so there is no wall-clock default. A file named by ``--out`` is
@@ -28,12 +35,15 @@ from .click_kernel import (
     click_statistics,
     nonclassicality_report,
 )
-from .errors import DomainError, ParseError, ValidationError
+from .errors import ClickStatsError, DomainError, ValidationError
 from .estimators import mandel_q_estimate, qb_estimate
 from .simulator import simulate
 from .states import KINDS, StateSpec, parse_state_spec
 
 SWEEP_AXES = ("eta", "nu", "N", "mean_photons", "r")
+# Grid points of one sweep. The grid, its rows and its text are held in
+# memory at once: a sweep of this size peaks at about 0.9 GB.
+MAX_SWEEP_STEPS = 10**6
 METHOD_ALIASES = {"gf": "generating_function", "dp": "occupancy_dp", "auto": "auto"}
 WORKERS_HELP = "worker count, at least 1; accepted, never changes the output"
 
@@ -133,8 +143,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _sweep_grid(args) -> np.ndarray:
-    if args.steps < 1:
-        raise ValidationError("--steps must be a positive integer")
+    if not 1 <= args.steps <= MAX_SWEEP_STEPS:
+        raise ValidationError(f"--steps must be an integer in [1, {MAX_SWEEP_STEPS}]")
     for flag, end in (("--from", args.sweep_from), ("--to", args.sweep_to)):
         if not math.isfinite(end):
             raise ValidationError(f"{flag} must be a finite number, got {end!r}")
@@ -181,7 +191,8 @@ def run_sweep(
     return rows
 
 
-def _run(args) -> int:
+def _run(args) -> str:
+    """The text the verb writes to ``--out`` or stdout."""
     if args.verb == "analyze":
         if args.bootstrap > 0 and args.seed is None:
             raise ValidationError("--seed is required when --bootstrap is requested")
@@ -196,8 +207,7 @@ def _run(args) -> int:
             qb_estimate(samples, **kwargs),
             mandel_q_estimate(samples, **kwargs),
         ]
-        _emit(records.emit_estimates(reports, args.format), args.out)
-        return 0
+        return records.emit_estimates(reports, args.format)
 
     spec = _load_state(args.state)
     config = DetectorConfig(N=args.detectors, eta=args.eta, nu=args.nu)
@@ -205,19 +215,15 @@ def _run(args) -> int:
         samples = simulate(
             spec, config, trials=args.trials, seed=args.seed, workers=args.workers
         )
-        _emit(records.samples_to_text(samples), args.out)
-        return 0
+        return records.samples_to_text(samples)
     method = METHOD_ALIASES[args.method]
     if args.verb == "dist":
-        text = records.emit_distribution(click_distribution(spec, config, method), args.format)
-    elif args.verb == "qb":
+        return records.emit_distribution(click_distribution(spec, config, method), args.format)
+    if args.verb == "qb":
         report = nonclassicality_report(spec, config, method)
-        text = records.emit_nonclassicality(report, args.format)
-    else:
-        rows = run_sweep(spec, config, args.sweep_axis, _sweep_grid(args), method)
-        text = records.emit_sweep(args.sweep_axis, rows, args.format)
-    _emit(text, args.out)
-    return 0
+        return records.emit_nonclassicality(report, args.format)
+    rows = run_sweep(spec, config, args.sweep_axis, _sweep_grid(args), method)
+    return records.emit_sweep(args.sweep_axis, rows, args.format)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -227,16 +233,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _run(args)
-    except (ParseError, ValidationError) as exc:
+        _emit(_run(args), args.out)
+    except ClickStatsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, DomainError) else 2
+    return 0
 
 
 def entry_point() -> None:

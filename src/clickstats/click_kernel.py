@@ -144,7 +144,11 @@ class ClickDistribution:
 
 @dataclass(frozen=True)
 class NonclassicalityReport:
-    """Q_B and Q_M values for one state/detector configuration."""
+    """Q_B and Q_M values for one state/detector configuration.
+
+    Every number is finite (``q_m_photons`` may be None), and Q_B is at
+    least -1; ValueError otherwise, so every report can be written and read
+    back."""
 
     q_b: float
     q_m_clicks: float
@@ -153,6 +157,9 @@ class NonclassicalityReport:
     click_variance: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name}={value!r} is not finite")
         if self.q_b < -1.0 - 1e-9:
             raise ValueError(f"q_b={self.q_b!r} violates the variance floor of -1")
 
@@ -175,10 +182,14 @@ def _thermal_solve(mu: float, b: np.ndarray, N: int, eta: float) -> np.ndarray:
 
     Forward substitution c_k = (b_k + m (N-k+1) c_{k-1}) / (1 + m (N-k)),
     m = mu eta / N; every term is nonnegative and nothing is truncated.
+    c_0 = b_0 / (1 + m N) is formed alone: near the top of the float range
+    m (N+1) overflows, and inf times the absent c_{-1} = 0 would be NaN.
     """
     m = mu * eta / N
-    out, prev = [], 0.0
-    for k, bk in enumerate(b.tolist()):
+    entries = iter(b.tolist())
+    prev = next(entries) / (1.0 + m * N)
+    out = [prev]
+    for k, bk in enumerate(entries, 1):
         prev = (bk + m * (N - k + 1) * prev) / (1.0 + m * (N - k))
         out.append(prev)
     return np.array(out)

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all clickstats modules.
 
-Two families matter for exit-code mapping in the CLI: input problems
-(ParseError, ValidationError) and domain failures raised during an
-otherwise well-formed computation (DomainError subclasses).
+The CLI maps an error to its exit code by family: a domain failure raised
+during an otherwise well-formed computation (a DomainError subclass) exits
+1, and every other ClickStatsError, an input problem (ParseError,
+ValidationError), exits 2.
 """
 
 

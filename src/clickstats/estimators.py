@@ -68,7 +68,8 @@ class EstimateReport:
     """One estimated statistic with its percentile-bootstrap interval.
 
     ``ci_low``/``ci_high`` are None when no bootstrap was requested, and
-    bracket the point estimate when one was. The confidence level must lie
+    bracket the point estimate when one was; the point estimate and the
+    interval ends are finite numbers. The confidence level must lie
     in (0, 1) either way. ``degenerate_resamples`` counts the bootstrap
     resamples discarded for a degenerate mean. The three counts take the
     number rule (``checked_integer``) and are stored as ints.
@@ -90,6 +91,10 @@ class EstimateReport:
             raise ValueError(
                 f"confidence level must lie in (0, 1), got {self.confidence_level!r}"
             )
+        for name in ("point_estimate", "ci_low", "ci_high"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name}={value!r} is not finite")
         for name in ("sample_size", "bootstrap_replicates", "degenerate_resamples"):
             count = checked_integer(getattr(self, name), name, 0, MAX_INT64, COUNT_RULE)
             object.__setattr__(self, name, count)

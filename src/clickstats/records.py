@@ -26,7 +26,7 @@ from .click_kernel import (
 from .errors import InsufficientData, NumericalInstability, ParseError, ValidationError
 from .estimators import EstimateReport
 from .simulator import ClickSampleSet
-from .states import checked_real, parse_state_spec
+from .states import checked_real, load_json, parse_state_spec
 
 SAMPLE_HEADER = "clicks"
 # Widest click line the vectorized reader takes: every count N <= MAX_DETECTORS
@@ -126,8 +126,8 @@ def _parse_int(meta: dict[str, str], key: str) -> int:
 def _parse_clicks(rows: list[str], first_lineno: int) -> np.ndarray:
     """The click column: one integer per line, blank and ``#`` lines skipped.
 
-    The kept lines are parsed in one numpy call; they are walked one by one
-    only to name a bad one.
+    The kept lines are parsed in one numpy call. Only when numpy rejects
+    them are they read one by one with ``int()``, which names a bad line.
     """
     kept = [
         (lineno, line)
@@ -136,15 +136,15 @@ def _parse_clicks(rows: list[str], first_lineno: int) -> np.ndarray:
     ]
     try:
         return np.array([line for _, line in kept], dtype=np.int64)
+    except ValueError:  # a bad line, or one that int() reads and numpy does not
+        return np.array([_line_int(lineno, line) for lineno, line in kept], dtype=np.int64)
+
+
+def _line_int(lineno: int, line: str) -> int:
+    try:
+        return int(line)
     except ValueError:
-        for lineno, line in kept:
-            try:
-                int(line)
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}: expected an integer, got {line!r}"
-                ) from None
-        raise
+        raise ParseError(f"line {lineno}: expected an integer, got {line!r}") from None
 
 
 def _read_preamble(lines: list[str]) -> tuple[dict[str, str], int]:
@@ -350,12 +350,7 @@ def _read_json(text: str, what: str, fields: Sequence[str | None], many: bool = 
 
     None in ``fields`` stands for one key of any other name.
     """
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:  # also an integer literal beyond Python's digit limit
-        raise ParseError(f"{what} is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError(f"{what} JSON nests too deeply to parse") from None
+    payload = load_json(text, what)
     objects = payload if many else [payload]
     named = set(fields) - {None}
     if not isinstance(objects, list) or not all(

@@ -16,12 +16,18 @@ per-kind quantity kept in ``click_kernel``, which this module cannot import.
 
 A StateSpec checks itself when it is built (``__post_init__``), so every
 spec that exists is valid: a bad field, of the wrong type or out of range,
-raises ValidationError naming its path, and no function downstream checks a
-spec again. ``checked_real`` is the one rule for a real input, here and in
-the detector config; ``checked_integer``, ``checked_seed`` and
-``checked_counts`` are its forms for an integer, a seed and an array of
-counts, which the record and estimator code take too. Photon laws are cut
-where a closed-form tail bound falls below TAIL_TOLERANCE.
+a field of another kind, or a mixture component that is not a
+(weight, state) pair raises ValidationError naming its path, and no
+function downstream checks a spec again. Mixture weights and explicit laws
+are held to unit sum within a tolerance and renormalized where they are
+used (``flattened()``, ``_explicit_law``), so every law built from a spec
+has unit mass. ``load_json`` is the package's one JSON reader, for state
+specs, record echoes and structured reports. ``checked_real`` is the one
+rule for a real input, here and in the detector config;
+``checked_integer``, ``checked_seed`` and ``checked_counts`` are its forms
+for an integer, a seed and an array of counts, which the record and
+estimator code take too. Photon laws are cut where a closed-form tail
+bound falls below TAIL_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -177,6 +183,9 @@ class StateSpec:
                 f"{path}.kind: {self.kind!r} is not one of {STATE_KINDS}"
             )
         name = KINDS[self.kind].field
+        extra = [other for other in _FIELDS if other != name and getattr(self, other) is not None]
+        if extra:
+            raise ValidationError(f"{path}: unexpected fields {extra} for kind {self.kind!r}")
         value = getattr(self, name)
         where = f"{path}.{name}"
         if name == "n":
@@ -211,14 +220,19 @@ class StateSpec:
         object.__setattr__(self, name, value)
 
     def flattened(self) -> list[tuple[float, "StateSpec"]]:
-        """Collapse nested mixtures into a flat (weight, leaf-spec) list."""
+        """Collapse nested mixtures into a flat (weight, leaf-spec) list.
+
+        The flat weights are divided by their ``math.fsum``: a spec holds
+        its weights to unit sum within MIXTURE_WEIGHT_TOL only, and every
+        law built from it needs unit mass, as an explicit law is renormalized
+        where it is used. The stored components stay as they were given.
+        """
         if self.kind != "mixture":
             return [(1.0, self)]
-        flat: list[tuple[float, StateSpec]] = []
-        for weight, sub in self.components:
-            for w, leaf in sub.flattened():
-                flat.append((weight * w, leaf))
-        return flat
+        flat = [(weight * w, leaf) for weight, sub in self.components
+                for w, leaf in sub.flattened()]
+        total = math.fsum(w for w, _ in flat)
+        return [(w / total, leaf) for w, leaf in flat]
 
     def to_dict(self) -> dict:
         """Schema-form dictionary, the same layout parse_state_spec accepts."""
@@ -230,6 +244,8 @@ class StateSpec:
 
 
 def _checked_component(pair, path: str) -> tuple[float, StateSpec]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValidationError(f"{path}: must be a (weight, state) pair, got {pair!r}")
     weight, sub = pair
     weight = checked_real(weight, f"{path}.weight", 0.0, 1.0, UNIT_INTERVAL)
     if not isinstance(sub, StateSpec):
@@ -237,15 +253,21 @@ def _checked_component(pair, path: str) -> tuple[float, StateSpec]:
     return weight, sub
 
 
+def load_json(text: str, what: str) -> object:
+    """The one JSON reader of outside text: a state spec, a record's config
+    echo, a structured report. Text that is not JSON, or that nests too
+    deeply to parse, is ParseError naming ``what``."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer literal beyond Python's digit limit
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{what} JSON nests too deeply to parse") from None
+
+
 def parse_state_spec(text: str) -> StateSpec:
     """Parse the JSON state-spec schema into a validated StateSpec."""
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # also an integer literal beyond Python's digit limit
-        raise ParseError(f"state spec is not valid JSON: {exc}")
-    except RecursionError:
-        raise ParseError("state spec JSON nests too deeply to parse") from None
-    return state_from_dict(data)
+    return state_from_dict(load_json(text, "state spec"))
 
 
 def state_from_dict(data: object, path: str = "state", _depth: int = 0) -> StateSpec:
@@ -480,7 +502,7 @@ class Kind(NamedTuple):
 # geometric law, G = 1/(1+mu(1-x)), moments (mu, mu(1+mu)). Fock: one-hot
 # law, G = x^n, moments (n, 0). Squeezed vacuum: even-photon law,
 # G = 1/(cosh r sqrt(1 - x^2 tanh^2 r)), moments (s, 2s(1+s)) with
-# s = sinh^2 r. Explicit: the normalized table and its polynomial.
+# s = sinh^2 r. Explicit: the renormalized table and its polynomial.
 KINDS = {
     "coherent": Kind(
         "mean_photons",
@@ -502,10 +524,13 @@ KINDS = {
     ),
     "mixture": Kind("components"),
     "explicit": Kind(
-        "probs", _explicit_probs, lambda leaf, x: polynomial_gf(leaf.probs, x), _explicit_moments
+        "probs", _explicit_probs, lambda leaf, x: polynomial_gf(_explicit_law(leaf), x),
+        _explicit_moments,
     ),
 }
 STATE_KINDS = tuple(KINDS)
+# Every kind's field, sorted, as ``state_from_dict`` names unexpected fields.
+_FIELDS = tuple(sorted({row.field for row in KINDS.values()}))
 
 
 def make_distribution(spec: StateSpec) -> PhotonNumberDistribution:
@@ -529,9 +554,10 @@ def make_distribution(spec: StateSpec) -> PhotonNumberDistribution:
 def generating_function(spec: StateSpec, x: float) -> float:
     """Evaluate G(x) = sum_n p_n x^n on [0, 1].
 
-    Each leaf kind has its closed form (``KINDS``); an explicit law is its
-    polynomial. A mixture is the weight-sum over its flattened leaves. x
-    takes the number rule of every real input (``checked_real``).
+    Each leaf kind has its closed form (``KINDS``); an explicit law is the
+    polynomial of its renormalized table, the law the click kernel uses. A
+    mixture is the weight-sum over its flattened leaves. x takes the number
+    rule of every real input (``checked_real``).
     """
     x = checked_real(x, "x", 0.0, 1.0, UNIT_INTERVAL)
     return math.fsum(w * KINDS[leaf.kind].gf(leaf, x) for w, leaf in spec.flattened())

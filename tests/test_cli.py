@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +17,28 @@ from hypothesis import given, settings, strategies as st
 
 import clickstats
 import oracles
-from clickstats import click_kernel, records
-from clickstats.cli import main, parse_state_spec
+from clickstats import click_kernel, errors, records
+from clickstats.cli import MAX_SWEEP_STEPS, main, parse_state_spec
 from clickstats.errors import ParseError, ValidationError
 
 COHERENT4 = '{"kind":"coherent","mean_photons":4.0}'
 FOCK1 = '{"kind":"fock","n":1}'
+# Mixtures at the two edges of the weight rule, which holds the weights to
+# unit sum within 1e-9: each sums to 1 +/- (1e-9 minus an ulp).
+EDGE_MIXTURES = [
+    json.dumps({"kind": "mixture", "components": [
+        {"weight": 0.5, "state": first}, {"weight": weight, "state": second}]})
+    for weight in (0.5000000009999999, 0.49999999900000003)
+    for first, second in [
+        ({"kind": "fock", "n": 2}, {"kind": "coherent", "mean_photons": 1.0}),
+        ({"kind": "thermal", "mean_photons": 2.0}, {"kind": "squeezed_vacuum", "r": 0.5}),
+        ({"kind": "explicit", "probs": [0.25, 0.75]}, {"kind": "fock", "n": 0}),
+    ]
+]
+ERROR_NAMES = {
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.ClickStatsError)
+}
 SRC = str(Path(clickstats.__file__).resolve().parents[1])
 
 
@@ -562,6 +579,8 @@ class TestSweepGridEnds:
         ("1", "inf", "2", "--to must be a finite number"),
         ("-1.7e308", "1.7e308", "3", "--to minus --from overflows"),
         ("nan", "nan", "1", "--from must be a finite number"),
+        *(("1", "2", str(steps), f"--steps must be an integer in [1, {MAX_SWEEP_STEPS}]")
+          for steps in (0, MAX_SWEEP_STEPS + 1, 10**12, 10**30)),
     ])
     def test_rejected_before_the_grid(self, start, stop, steps, message):
         proc = _fresh_python(
@@ -778,6 +797,7 @@ _STATES = _mostly(
         '{"kind":"thermal","mean_photons":-1}', '{"kind":"fock","n":1.5}',
         '{"kind":"squeezed_vacuum","r":30}', '{"kind":"thermal","mean_photons":1e17}',
         '{"kind":"nope"}', "{bad json", "[]", "no/such/state.json",
+        *EDGE_MIXTURES, '{"kind":"thermal","mean_photons":1.7e308}',
     ]),
 )
 _BAD_NUMBER = _text(["nan", "inf", "-inf", "1e400", "-1", "x", ""])
@@ -824,25 +844,70 @@ def _argv(draw, files):
         bound = _mostly(st.integers(1, 64).map(str), _BAD_NUMBER) if axis == "N" else _ETA
         argv += draw(_option("--from", bound))
         argv += draw(_option("--to", bound))
-        argv += draw(_option("--steps", _mostly(_text([1, 2, 5]), _text([0, -1, "x"]))))
+        argv += draw(_option("--steps", _mostly(_text([1, 2, 5]), _text(
+            [0, -1, "x", MAX_SWEEP_STEPS + 1, 10**12, 10**30]))))
     if verb != "simulate":
         argv += draw(_option("--format", _mostly(_text(["table", "structured"]), _text(["xml"]))))
     return argv
 
 
+def _assert_exit_code_contract(argv):
+    """main returns 0, 1 or 2 and raises nothing, and a nonzero exit prints
+    argparse's usage or ``error: <Name>: `` naming a ClickStatsError."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code:
+        named = re.match(r"error: (\w+): ", err.getvalue())
+        assert err.getvalue().startswith("usage: ") or (
+            named and named[1] in ERROR_NAMES
+        ), (argv, err.getvalue())
+
+
 class TestArgvExitCodes:
-    """Whatever the argv, main returns 0, 1 or 2 and raises nothing."""
+    """Whatever the argv, main returns 0, 1 or 2, raises nothing, and names
+    the error of every nonzero exit."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_exit_code_contract(self, record_files, data):
-        argv = data.draw(_argv(record_files))
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main(argv)
-        assert code in (0, 1, 2), (argv, err.getvalue())
-        if code:
-            assert err.getvalue(), argv
+        _assert_exit_code_contract(data.draw(_argv(record_files)))
+
+    # Inputs that once reached an unnamed error or a traceback, run every time.
+    @pytest.mark.parametrize("argv", [
+        *(["dist", "--state", state, "--detectors", "8", "--method", "dp"]
+          for state in EDGE_MIXTURES),
+        *(["simulate", "--state", state, "--detectors", "8", "--trials", "50", "--seed", "1"]
+          for state in EDGE_MIXTURES),
+        ["qb", "--state", '{"kind":"thermal","mean_photons":1.7e308}', "--detectors", "4"],
+        *(["sweep", "--state", COHERENT4, "--detectors", "8", "--sweep-axis", "eta",
+           "--from", "0", "--to", "1", "--steps", str(steps)]
+          for steps in (MAX_SWEEP_STEPS + 1, 10**12, 10**30)),
+    ])
+    def test_inputs_that_once_failed_anonymously(self, argv):
+        _assert_exit_code_contract(argv)
+
+
+class TestMixturesAtTheEdgesOfTheWeightRule:
+    """A mixture whose weights the spec accepts computes on every route:
+    its weights are renormalized where its laws are built."""
+
+    @pytest.mark.parametrize("method", ["gf", "dp"])
+    @pytest.mark.parametrize("N", [1, 8, 64, 1024])
+    @pytest.mark.parametrize("state", EDGE_MIXTURES)
+    def test_dist(self, capsys, state, N, method):
+        assert main(["dist", "--state", state, "--detectors", str(N), "--eta", "0.7",
+                     "--method", method]) == 0, capsys.readouterr().err
+        probs = [float(line.split(",")[1]) for line in capsys.readouterr().out.split()[1:]]
+        assert len(probs) == N + 1 and math.fsum(probs) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("state", EDGE_MIXTURES)
+    def test_simulate(self, capsys, state):
+        assert main(["simulate", "--state", state, "--detectors", "8", "--trials", "100",
+                     "--seed", "5"]) == 0, capsys.readouterr().err
+        record = records.samples_from_text(capsys.readouterr().out)
+        assert record.trials == 100 and record.state_echo == parse_state_spec(state)
 
 
 class TestMomentAccuracy:

@@ -263,6 +263,16 @@ class TestInstabilityHandling:
         with pytest.raises(NumericalInstability, match=message):
             ClickDistribution(2, [0.5, bad, 0.5])
 
+    def test_thermal_solve_at_the_top_of_the_float_range(self):
+        # m (N + 1) overflows here: the first step of the solve once formed
+        # inf * 0 and gave a NaN law; c_0 = b_0 / (1 + m N) is formed alone.
+        spec, config = StateSpec.thermal(1.7e308), DetectorConfig(N=4, eta=1.0)
+        probs = click_distribution(spec, config).probs
+        assert np.isfinite(probs).all() and probs[-1] == pytest.approx(1.0, abs=1e-15)
+        assert probs[0] == pytest.approx(1.0 / 1.7e308, rel=1e-12)
+        with pytest.raises(DegenerateMean):
+            nonclassicality_report(spec, config)
+
     def test_bad_method_name(self):
         with pytest.raises(ValueError):
             click_distribution(StateSpec.fock(1), DetectorConfig(N=2, eta=1.0), "exact")

@@ -108,6 +108,23 @@ class TestSampleFiles:
         with pytest.raises(ParseError, match="64-bit"):
             records.samples_from_text("# N=4\nclicks\n1\n\n9223372036854775808\n")
 
+    def test_lines_numpy_rejects_and_int_reads(self, monkeypatch):
+        # Where numpy's text conversion rejects a column that int() reads
+        # line by line, the clicks are the integers int() read.
+        array = np.array
+
+        def strict_array(values, *args, **kwargs):
+            if isinstance(values, list) and values and isinstance(values[0], str):
+                raise ValueError("numpy rejects the column")
+            return array(values, *args, **kwargs)
+
+        monkeypatch.setattr(records.np, "array", strict_array)
+        assert records.samples_from_text("# N=4\nclicks\n1\n 2\n+3\n").clicks.tolist() == [1, 2, 3]
+        with pytest.raises(ParseError, match="^line 4: expected an integer, got 'x'$"):
+            records.samples_from_text("# N=4\nclicks\n1\nx\n")
+        with pytest.raises(ParseError, match="64-bit"):
+            records.samples_from_text("# N=4\nclicks\n1\n 9223372036854775808\n")
+
     def test_writer_renders_values_up_to_int64(self):
         clicks = np.array([2**63 - 1, 0, 5, 2**63 - 1, 5], dtype=np.int64)
         samples = ClickSampleSet(N=2**63 - 1, clicks=clicks, seed=3, trials=5)
@@ -374,6 +391,28 @@ class TestEstimateReportCounts:
     def test_such_a_table_is_malformed(self, row):
         with pytest.raises(ParseError):
             records.parse_estimates(_ESTIMATE_HEADER + row + "\n")
+
+
+class TestReportsHoldFiniteNumbers:
+    """A report holds finite numbers only (an optional one may be None), so
+    every report that exists can be written and read back."""
+
+    REPORT = dict(q_b=0.1, q_m_clicks=-0.2, q_m_photons=None, click_mean=1.0,
+                  click_variance=0.5)
+    ESTIMATE = dict(statistic_name="q_m", point_estimate=0.1, ci_low=0.0, ci_high=0.2,
+                    confidence_level=0.95, sample_size=10, bootstrap_replicates=200)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", list(REPORT))
+    def test_nonclassicality_report(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name}=.* is not finite$"):
+            NonclassicalityReport(**{**self.REPORT, name: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["point_estimate", "ci_low", "ci_high"])
+    def test_estimate_report(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name}=.* is not finite$"):
+            EstimateReport(**{**self.ESTIMATE, name: bad})
 
 
 class TestReaderAgainstLineOracle:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from clickstats import (
+    DetectorConfig,
     StateSpec,
+    click_distribution,
     generating_function,
     make_distribution,
     photon_moments,
@@ -198,6 +200,15 @@ class TestValidation:
         (dict(kind="explicit", probs=[b"1"]), "state.probs[0]: must lie in [0, 1], got b'1'"),
         (dict(kind="mixture", components=[(1.0, {"kind": "fock", "n": 1})]),
          "state.components[0].state: not a state spec"),
+        (dict(kind="fock", n=3, mean_photons=5.0),
+         "state: unexpected fields ['mean_photons'] for kind 'fock'"),
+        (dict(kind="explicit", probs=[1.0], n=0, r=0.5),
+         "state: unexpected fields ['n', 'r'] for kind 'explicit'"),
+        (dict(kind="mixture", components=[0.5]),
+         "state.components[0]: must be a (weight, state) pair, got 0.5"),
+        (dict(kind="mixture", components=[(0.5, StateSpec.fock(1), 1), (0.5, StateSpec.fock(1))]),
+         "state.components[0]: must be a (weight, state) pair, got "
+         f"{(0.5, StateSpec.fock(1), 1)!r}"),
     ])
     def test_field_types_are_checked_at_construction(self, spec, message):
         with pytest.raises(ValidationError) as info:
@@ -310,6 +321,29 @@ class TestNumberRules:
     def test_not_counts(self, values):
         with pytest.raises(ValidationError, match="^c: must be a 1-d array of integers"):
             checked_counts(values, "c")
+
+
+class TestRenormalizedWhereUsed:
+    """Mixture weights and explicit laws, held to unit sum within a
+    tolerance, are renormalized where a law is built from them."""
+
+    @pytest.mark.parametrize("weight", [0.5000000009999999, 0.49999999900000003])
+    def test_mixture_weights(self, weight):
+        inner = StateSpec.mixture([(0.5, StateSpec.fock(1)), (weight, StateSpec.thermal(1.0))])
+        spec = StateSpec.mixture([(weight, StateSpec.coherent(2.0)), (0.5, inner)])
+        flat = spec.flattened()
+        assert math.fsum(w for w, _ in flat) == pytest.approx(1.0, abs=1e-15)
+        assert spec.components[0][0] == weight and inner.components[1][0] == weight
+        assert spec == state_from_dict(spec.to_dict())
+        assert math.fsum(make_distribution(spec).probs) == pytest.approx(1.0, abs=1e-12)
+        assert generating_function(spec, 1.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_explicit_generating_function(self):
+        # G(0) is the vacuum probability, the click law's c_0 at eta = 1, nu = 0.
+        spec = StateSpec.explicit([0.5, 0.4999995])
+        c_0 = click_distribution(spec, DetectorConfig(N=3, eta=1.0)).probs[0]
+        assert generating_function(spec, 0.0) == c_0 == pytest.approx(0.5 / 0.9999995, rel=1e-15)
+        assert generating_function(spec, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestGeneratingFunction:
