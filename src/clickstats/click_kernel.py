@@ -15,7 +15,10 @@ Two routes evaluate c:
   quantity this module owns. Coherent light gives a binomial law, thermal
   light one bidiagonal solve, Fock states and explicit laws the chain over
   their photon law, and squeezed vacuum a trapezoid rule over two-photon
-  resolvents (I - q T^2)^-1 b. Every term of each is nonnegative. A photon
+  resolvents (I - q T^2)^-1 b, whose first forward substitution holds the
+  64-, 128- and 256-node rules and whose node sums keep the order of one
+  pass per rule, so no law depends on how the passes are cut. Every term of
+  each is nonnegative. A photon
   law beyond MAX_NMAX photons, or a squeezed leaf whose rule needs more than
   QUADRATURE_CAP nodes, raises TruncationOverflow.
 - Path B ("occupancy_dp"): ``_photon_chain``, the helper Path A runs for a
@@ -74,11 +77,14 @@ CLAMP_TOL = 1e-12
 NORMALIZATION_TOL = 1e-9
 DEGENERATE_MEAN_TOL = 1e-12
 
-# The squeezed quadrature: its first node count, the relative agreement of
-# two successive rules that ends the doubling, and the node cap.
+# The squeezed quadrature: its first node count (its first pass also holds
+# the two rules after it, 256 nodes), the relative agreement of two
+# successive rules that ends the doubling, the node cap, and the floats a
+# pass holds in its rolling block of rows.
 QUADRATURE_START = 64
 QUADRATURE_TOL = 1e-7
 QUADRATURE_CAP = 2**17
+ROW_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -184,8 +190,14 @@ def _thermal_solve(mu: float, b: np.ndarray, N: int, eta: float) -> np.ndarray:
     m = mu eta / N; every term is nonnegative and nothing is truncated.
     c_0 = b_0 / (1 + m N) is formed alone: near the top of the float range
     m (N+1) overflows, and inf times the absent c_{-1} = 0 would be NaN.
+    Where m N itself overflows (the last floats below the largest, at some
+    N), inf times c_0 = 0 would be NaN at k = 1, and the law is its limit
+    as m grows: every detector clicks, c = e_N, within about 1/m of the
+    exact law.
     """
     m = mu * eta / N
+    if m * N == math.inf:
+        return np.eye(1, N + 1, N)[0]
     entries = iter(b.tolist())
     prev = next(entries) / (1.0 + m * N)
     out = [prev]
@@ -214,11 +226,19 @@ def _chain(weights, start: np.ndarray, N: int, eta: float) -> np.ndarray:
     return acc
 
 
-def _resolvent_sums(theta: np.ndarray, cosh_r: float, t: float, b: np.ndarray,
+def _resolvent_sums(theta: np.ndarray, parts: list, cosh_r: float, t: float, b: np.ndarray,
                     N: int, eta: float) -> np.ndarray:
-    """Per entry k, the sum over the last axis of theta of (I - q T^2)^-1 b,
+    """Per entry k, sums over parts of theta of (I - q T^2)^-1 b,
     q = t^2 sin^2 theta: one forward substitution over T^2's diagonal
     stay_k^2 and its two subdiagonals, the nodes as the numpy vector.
+
+    Each (start, stop, width) of ``parts`` takes theta[start:stop] as
+    ``width`` interleaved sets and adds one column per set: at width 1
+    numpy sums the nodes pairwise (its order along a contiguous row), at
+    width 2 the even and the odd nodes left to right (its order along a
+    strided axis). The rows wait in a rolling block of about ROW_BLOCK
+    floats and are summed a block at a time, so no buffer grows as
+    (N+1) x nodes.
 
     The divisor 1 - q stay_k^2 is formed as
     cos^2 theta + sin^2 theta / cosh^2 r + q (1 - stay_k)(1 + stay_k), with
@@ -227,16 +247,25 @@ def _resolvent_sums(theta: np.ndarray, cosh_r: float, t: float, b: np.ndarray,
     sin2 = np.sin(theta) ** 2
     q = t * t * sin2
     base = np.cos(theta) ** 2 + sin2 / (cosh_r * cosh_r)
-    out = np.empty((N + 1,) + theta.shape[:-1])
-    c1 = c2 = stay1 = move1 = 0.0
-    for k, bk in enumerate(b.tolist()):
-        stay = ((1.0 - eta) * N + eta * k) / N
-        move = eta * (N - k + 1) / N
-        c = (bk + q * (move * (stay + stay1) * c1 + move * move1 * c2)) / (
-            base + q * (eta * (N - k) / N * (1.0 + stay))
-        )
-        out[k] = c.sum(axis=-1)
-        c2, c1, stay1, move1 = c1, c, stay, move
+    ks = np.arange(-1, N + 1)  # k = -1 too, whose weights only ever meet zero rows
+    stay, move = ((1.0 - eta) * N + eta * ks) / N, eta * (N - ks + 1) / N
+    one, two = move[1:] * (stay[1:] + stay[:-1]), move[1:] * move[:-1]
+    side = eta * (N - ks[1:]) / N * (1.0 + stay[1:])
+    # Row k % rows takes c_k, and rows k % rows - 1 and - 2 (wrapping, and
+    # zero before they are first written) hold c_{k-1} and c_{k-2}; with at
+    # least 3 rows, c_k never overwrites them.
+    rows = max(3, ROW_BLOCK // theta.size)
+    block, out = np.zeros((rows, theta.size)), np.empty((N + 1, sum(w for *_, w in parts)))
+    for k, (bk, one_k, two_k, s) in enumerate(zip(*(v.tolist() for v in (b, one, two, side)))):
+        c = np.multiply(block[k % rows - 1], one_k, out=block[k % rows])
+        c += block[k % rows - 2] * two_k
+        c *= q
+        c += bk
+        c /= base + q * s
+        if k % rows == rows - 1 or k == N:
+            done = block[: k % rows + 1]
+            out[k - k % rows: k + 1] = np.concatenate(
+                [done[:, lo:hi].reshape(len(done), -1, w).sum(axis=1) for lo, hi, w in parts], 1)
     return out
 
 
@@ -245,17 +274,25 @@ def _squeezed_law(leaf: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.
     squeezed vacuum, q_theta = tanh^2 r sin^2 theta, by the trapezoid rule.
 
     The integrand is periodic and analytic, so the rule converges
-    geometrically, and its nodes theta_j = pi j/n nest: the first pass gives
-    the QUADRATURE_START-node rule and, from its even nodes, the rule of
-    half as many. Each doubling evaluates the new odd nodes alone, until two
+    geometrically, and its nodes theta_j = pi j/n nest. One forward
+    substitution evaluates the rule of 4 QUADRATURE_START nodes: the
+    QUADRATURE_START-node rule in natural order, then the odd nodes that
+    each of two doublings adds. The rules are tested from QUADRATURE_START
+    nodes up, the first against the rule of its even nodes, until two
     successive rules agree to QUADRATURE_TOL relative on every entry above
-    1e-300; beyond QUADRATURE_CAP nodes, TruncationOverflow.
+    1e-300. Past the first pass each doubling evaluates its new odd nodes
+    alone; beyond QUADRATURE_CAP nodes, TruncationOverflow.
+
+    Each sum is formed in the order that a pass of its nodes alone takes
+    (``_resolvent_sums``' widths), so the rule chosen and every entry are
+    those of a doubling that evaluates each rule in a pass of its own.
     """
-    N, eta = config.N, config.eta
-    cosh_r, t = _squeezing(leaf.r)
+    (cosh_r, t), N, eta = _squeezing(leaf.r), config.N, config.eta
     n = QUADRATURE_START
-    theta = np.pi / n * np.arange(n).reshape(n // 2, 2).T  # even nodes, odd nodes
-    even, odd = _resolvent_sums(theta, cosh_r, t, b, N, eta).T
+    parts = [(0, n, 2), (n, 2 * n, 1), (2 * n, 4 * n, 1)]  # even and odd, then each rule's odd
+    theta = np.concatenate([np.pi / n * np.arange(n)]
+                           + [np.pi / m * np.arange(1, m, 2) for _, m, _ in parts[1:]])
+    even, odd, *added = _resolvent_sums(theta, parts, cosh_r, t, b, N, eta).T
     total = even + odd
     coarse, fine = even / (n // 2 * cosh_r), total / (n * cosh_r)
     while np.any((fine > 1e-300) & (np.abs(fine - coarse) > QUADRATURE_TOL * fine)):
@@ -264,8 +301,10 @@ def _squeezed_law(leaf: StateSpec, config: DetectorConfig, b: np.ndarray) -> np.
                 f"squeezed vacuum with r={leaf.r} needs more than {QUADRATURE_CAP} "
                 f"quadrature nodes at N={N}"
             )
-        nodes = np.pi / (2 * n) * (2 * np.arange(n) + 1)  # the new odd nodes
-        total = total + _resolvent_sums(nodes, cosh_r, t, b, N, eta)
+        if not added:  # a pass of the 2n-node rule's odd nodes
+            theta = np.pi / (2 * n) * np.arange(1, 2 * n, 2)
+            added = [_resolvent_sums(theta, [(0, n, 1)], cosh_r, t, b, N, eta)[:, 0]]
+        total = total + added.pop(0)
         n *= 2
         coarse, fine = fine, total / (n * cosh_r)
     return fine

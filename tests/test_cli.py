@@ -249,6 +249,14 @@ class TestQbVerb:
         assert code == 1
         assert "DegenerateMean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("N", ["1", "3", "7", "64", "1024"])
+    def test_thermal_at_the_largest_float_is_degenerate(self, capsys, N):
+        # At N = 3 and 7 this once ended in NumericalInstability "nan".
+        code = main(["qb", "--state", '{"kind":"thermal","mean_photons":1.7976931348623157e308}',
+                     "--detectors", N, "--eta", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: DegenerateMean")
+
     @pytest.mark.parametrize("state,extra,q_m_photons", [
         ('{"kind":"thermal","mean_photons":200}', [], "200"),
         ('{"kind":"squeezed_vacuum","r":3.5}', [], format(math.cosh(7.0), ".12g")),
@@ -700,9 +708,9 @@ class TestSqueezedAtLargeN:
         # pass; at r = 0.8 it converges from 256.
         n, r = 4096, 0.8
         b = click_kernel._dark_law(clickstats.DetectorConfig(N=N, eta=1.0))
-        nodes = np.pi / n * np.arange(n)
-        sums = click_kernel._resolvent_sums(nodes, math.cosh(r), math.tanh(r), b, N, 1.0)
-        _assert_printed_law(got, (sums / (n * math.cosh(r))).tolist())
+        nodes, cosh_r = np.pi / n * np.arange(n), math.cosh(r)
+        sums = click_kernel._resolvent_sums(nodes, [(0, n, 1)], cosh_r, math.tanh(r), b, N, 1.0)
+        _assert_printed_law(got, (sums[:, 0] / (n * cosh_r)).tolist())
 
 
 class TestHugeClickValues:

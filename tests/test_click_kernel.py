@@ -273,6 +273,18 @@ class TestInstabilityHandling:
         with pytest.raises(DegenerateMean):
             nonclassicality_report(spec, config)
 
+    @pytest.mark.parametrize("N", [1, 3, 7, 64, 1024])
+    def test_thermal_solve_at_the_largest_float(self, N):
+        # At N = 3 and 7, m N = (mu / N) N rounds to inf, and the solve once
+        # formed inf * 0 = NaN at k = 1; the law is then the limit of infinite
+        # brightness, every detector clicking (the CLI's qb then ends in
+        # DegenerateMean, see test_cli).
+        spec, config = StateSpec.thermal(1.7976931348623157e308), DetectorConfig(N=N, eta=1.0)
+        probs = click_distribution(spec, config).probs
+        assert np.isfinite(probs).all() and probs[-1] == pytest.approx(1.0, abs=1e-15)
+        if N in (3, 7):
+            np.testing.assert_array_equal(probs, np.eye(1, N + 1, N)[0])
+
     def test_bad_method_name(self):
         with pytest.raises(ValueError):
             click_distribution(StateSpec.fock(1), DetectorConfig(N=2, eta=1.0), "exact")
@@ -346,6 +358,18 @@ def _assert_entries(got, exact, method):
             assert abs(g - e) <= 1e-300, (method, k, g, e)
 
 
+def _count_passes(monkeypatch) -> list:
+    """The node count of every squeezed quadrature pass from here on."""
+    passes, sums = [], click_kernel._resolvent_sums
+
+    def counted(theta, *args):
+        passes.append(theta.size)
+        return sums(theta, *args)
+
+    monkeypatch.setattr(click_kernel, "_resolvent_sums", counted)
+    return passes
+
+
 class TestExactLeafRoutes:
     """Every leaf kind evaluates c = G(T) b exactly: every entry above 1e-300
     to 12 digits, and entries whose exact value lies below the smallest
@@ -380,22 +404,37 @@ class TestExactLeafRoutes:
     @pytest.mark.parametrize("r", [0.8, 2.5])
     @pytest.mark.parametrize("N,eta,nu", [(653, 1.0, 0.0), (1024, 0.7, 0.05), (1024, 1.0, 0.0)])
     def test_squeezed_self_convergence_at_large_n(self, monkeypatch, r, N, eta, nu):
-        # Beyond N = 256 the reference is the same rule at 4 times the final
-        # node count, in one pass.
-        nodes = []
+        # Beyond N = 256 the reference is the same rule at 4 times the node
+        # count of every pass together (at least 4 times the final rule's),
+        # in one pass.
         sums = click_kernel._resolvent_sums
-
-        def counted(theta, *args):
-            nodes.append(theta.size)
-            return sums(theta, *args)
-
-        monkeypatch.setattr(click_kernel, "_resolvent_sums", counted)
+        nodes = _count_passes(monkeypatch)
         cfg = DetectorConfig(N=N, eta=eta, nu=nu)
         got = click_distribution(StateSpec.squeezed_vacuum(r), cfg).probs
         n = 4 * sum(nodes)
         cosh_r, t = math.cosh(r), math.tanh(r)
-        reference = sums(np.pi / n * np.arange(n), cosh_r, t, click_kernel._dark_law(cfg), N, eta)
+        theta, b = np.pi / n * np.arange(n), click_kernel._dark_law(cfg)
+        reference = sums(theta, [(0, n, 1)], cosh_r, t, b, N, eta)[:, 0]
         _assert_entries(got, (reference / (n * cosh_r)).tolist(), "auto")
+
+    @pytest.mark.parametrize("eta,nu", [(1.0, 0.0), (0.7, 0.05)])
+    @pytest.mark.parametrize("N,r", [
+        *((N, r) for N in (1, 8, 20, 64, 256, 1024) for r in (0.05, 0.8, 1.2, 5.0)),
+        *((N, 9.5) for N in (1, 8, 20, 64)),
+    ])
+    def test_squeezed_law_is_the_doubling_rule_bit_for_bit(self, N, r, eta, nu):
+        # One first pass holds the 64-, 128- and 256-node rules; the rule it
+        # picks and every entry are those of one pass per rule.
+        cfg = DetectorConfig(N=N, eta=eta, nu=nu)
+        got = click_distribution(StateSpec.squeezed_vacuum(r), cfg).probs
+        expected = oracles.squeezed_law_by_doubling(r, click_kernel._dark_law(cfg), N, eta)
+        assert np.array_equal(got, expected)
+
+    def test_squeezed_law_takes_one_pass_where_256_nodes_suffice(self, monkeypatch):
+        passes = _count_passes(monkeypatch)
+        cfg = DetectorConfig(N=1024, eta=0.7, nu=0.05)
+        click_distribution(StateSpec.squeezed_vacuum(0.8), cfg)
+        assert passes == [256]
 
     @pytest.mark.parametrize("spec", GRID_STATES + EXACT_LEAF_STATES)
     @pytest.mark.parametrize("N", [1, 20, 256])
