@@ -11,6 +11,8 @@ data model.
 from __future__ import annotations
 
 import functools
+import io
+import itertools
 import json
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -43,8 +45,8 @@ def _format_optional(value: float | None) -> str:
     return "" if value is None else format_number(value)
 
 
-def _json_compact(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+# One encoder for every JSON text written, compact with sorted keys.
+_json_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _round12(value: float | None):
@@ -124,20 +126,13 @@ def _parse_int(meta: dict[str, str], key: str) -> int:
 
 
 def _parse_clicks(rows: list[str], first_lineno: int) -> np.ndarray:
-    """The click column: one integer per line, blank and ``#`` lines skipped.
-
-    The kept lines are parsed in one numpy call. Only when numpy rejects
-    them are they read one by one with ``int()``, which names a bad line.
-    """
-    kept = [
-        (lineno, line)
+    """The click column: one integer per line, read by ``int()``, which names
+    a bad line; blank and ``#`` lines are skipped."""
+    return np.array([
+        _line_int(lineno, line)
         for lineno, line in enumerate((raw.strip() for raw in rows), first_lineno)
         if line and not line.startswith("#")
-    ]
-    try:
-        return np.array([line for _, line in kept], dtype=np.int64)
-    except ValueError:  # a bad line, or one that int() reads and numpy does not
-        return np.array([_line_int(lineno, line) for lineno, line in kept], dtype=np.int64)
+    ], dtype=np.int64)
 
 
 def _line_int(lineno: int, line: str) -> int:
@@ -324,9 +319,17 @@ _COUNT = _Kind(str, int, int, _json_reader(int, int))
 _NAME = _Kind(str, str, str, _json_reader(str, str))
 
 
+def _joined(pieces: Iterable[str]) -> str:
+    """The pieces one after another, written to one buffer as each arrives:
+    ``"".join`` would first hold a list of them all."""
+    text = io.StringIO()
+    text.writelines(pieces)
+    return text.getvalue()
+
+
 def _write_table(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
     """The header line, then one comma-separated line per row of cells."""
-    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+    return _joined(f"{','.join(cells)}\n" for cells in itertools.chain([header], rows))
 
 
 def _read_table(text: str, what: str, header: Sequence[str | None]):
@@ -388,15 +391,19 @@ def _read_fields(fields: dict, values: dict, fmt: str) -> dict:
     }
 
 
-def _emit_rows(fields: dict, rows: Sequence[dict], fmt: str) -> str:
-    """A list report: one table row or JSON object per row of field values."""
+def _json_object(fields: dict, values: Iterable) -> str:
+    """One JSON object of the field values, in field order, each written by its kind."""
+    return _json_compact({name: kind.json(v) for (name, kind), v in zip(fields.items(), values)})
+
+
+def _emit_rows(fields: dict, rows: Iterable[Iterable], fmt: str) -> str:
+    """A list report: each row of field values, in field order, becomes its
+    table line or JSON object as it arrives, so only text is held."""
     if fmt == "structured":
-        return _json_compact(
-            [{name: kind.json(row[name]) for name, kind in fields.items()} for row in rows]
-        ) + "\n"
-    return _write_table(
-        fields, ([kind.cell(row[name]) for name, kind in fields.items()] for row in rows)
-    )
+        objects = (("," if i else "") + _json_object(fields, row) for i, row in enumerate(rows))
+        return _joined(itertools.chain(["["], objects, ["]\n"]))
+    kinds = fields.values()
+    return _write_table(fields, ([kind.cell(v) for kind, v in zip(kinds, row)] for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +413,7 @@ def _emit_rows(fields: dict, rows: Sequence[dict], fmt: str) -> str:
 def emit_distribution(dist: ClickDistribution, fmt: str = "table") -> str:
     if fmt == "structured":
         return _json_compact({"N": dist.N, "probs": [_round12(p) for p in dist.probs]}) + "\n"
-    rows = ((str(k), format_number(p)) for k, p in enumerate(dist.probs))
-    return _write_table(("k", "c_k"), rows)
+    return _emit_rows({"k": _COUNT, "c_k": _NUMBER}, enumerate(dist.probs), "table")
 
 
 @_report_parser("distribution")
@@ -440,9 +446,7 @@ _REPORT_FIELDS = {
 def emit_nonclassicality(report: NonclassicalityReport, fmt: str = "table") -> str:
     values = vars(report)
     if fmt == "structured":
-        return _json_compact(
-            {name: kind.json(values[name]) for name, kind in _REPORT_FIELDS.items()}
-        ) + "\n"
+        return _json_object(_REPORT_FIELDS, (values[name] for name in _REPORT_FIELDS)) + "\n"
     return _write_table(
         ("quantity", "value"),
         ((name, kind.cell(values[name])) for name, kind in _REPORT_FIELDS.items()),
@@ -477,8 +481,8 @@ _ESTIMATE_FIELDS = {
 
 
 def emit_estimates(reports: Sequence[EstimateReport], fmt: str = "table") -> str:
-    rows = [{"statistic": r.statistic_name, **vars(r)} for r in reports]
-    return _emit_rows(_ESTIMATE_FIELDS, rows, fmt)
+    # A report's attributes are the estimate fields, in their order.
+    return _emit_rows(_ESTIMATE_FIELDS, (vars(r).values() for r in reports), fmt)
 
 
 @_report_parser("estimates")
@@ -500,11 +504,12 @@ _SWEEP_FIELDS = dict.fromkeys(("q_b", "q_m_clicks", "click_mean", "click_varianc
 
 
 def emit_sweep(
-    axis_name: str, rows: Sequence[tuple[float, float, float, float, float]],
+    axis_name: str, rows: Iterable[tuple[float, float, float, float, float]],
     fmt: str = "table",
 ) -> str:
-    fields = {axis_name: _NUMBER, **_SWEEP_FIELDS}
-    return _emit_rows(fields, [dict(zip(fields, row)) for row in rows], fmt)
+    """The rows (axis value, Q_B, Q_M on clicks, mean, variance), each made
+    text as it arrives: ``rows`` may be a generator."""
+    return _emit_rows({axis_name: _NUMBER, **_SWEEP_FIELDS}, rows, fmt)
 
 
 @_report_parser("sweep")
@@ -514,12 +519,12 @@ def parse_sweep(text: str, fmt: str = "table") -> tuple[str, list[tuple[float, .
     columns = (None, *_SWEEP_FIELDS)
     if fmt == "structured":
         objects = _read_json(text, "structured sweep", columns, many=True)
-        if not objects:
-            raise ParseError("structured sweep must be a nonempty list")
-        axis = (objects[0].keys() - _SWEEP_FIELDS.keys()).pop()
+        axis = (objects[0].keys() - _SWEEP_FIELDS.keys()).pop() if objects else None
         rows = [[obj[name] for name in (axis, *_SWEEP_FIELDS)] for obj in objects]
         read = _NUMBER.load
     else:
         (axis, *_), rows = _read_table(text, "sweep", columns)
         read = _NUMBER.read
+    if not rows:
+        raise ParseError("sweep has no rows")
     return axis, [tuple(read(value) for value in row) for row in rows]

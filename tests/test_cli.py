@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -435,6 +436,25 @@ class TestSweepVerb:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: DegenerateMean")
+
+    @pytest.mark.parametrize("fmt", ["table", "structured"])
+    def test_sweep_holds_little_beside_its_text(self, tmp_path, fmt):
+        # Each row becomes text as it is computed, so a sweep's peak Python
+        # allocation stays within a few times the size of what it writes. A
+        # two-step sweep first keeps what a first call caches out of the count.
+        out = tmp_path / "sweep.out"
+        sweep = ["sweep", "--state", '{"kind":"coherent","mean_photons":1.0}',
+                 "--detectors", "1", "--sweep-axis", "eta", "--from", "0.01", "--to", "1",
+                 "--format", fmt, "--out", str(out), "--steps"]
+        assert main(sweep + ["2"]) == 0
+        tracemalloc.start()
+        try:
+            code = main(sweep + ["3000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 4 * out.stat().st_size
 
 
 class TestUsageErrors:
